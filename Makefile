@@ -13,8 +13,9 @@ BENCHTIME ?= 1s
 # higher-is-better in bench-check), the storage pipeline (checkpoint
 # commit under each profile; max-write-ns records the staging win over
 # the contended PFS) and the compression pay-off sweep (CPU charged vs
-# bytes saved across per-byte costs).
-BENCH_PATTERN ?= BenchmarkScheduler|BenchmarkVirtid|BenchmarkCheckpointCapture|BenchmarkSnapshotUpperHalf|BenchmarkOverlapDrain|BenchmarkFleetThroughput|BenchmarkRestartFallback|BenchmarkCheckpointCommit|BenchmarkCompressionPayoff
+# bytes saved across per-byte costs), and the content-hash layer (page
+# hash MB/s; copy-free live fingerprint with one dirty page per op).
+BENCH_PATTERN ?= BenchmarkScheduler|BenchmarkVirtid|BenchmarkCheckpointCapture|BenchmarkSnapshotUpperHalf|BenchmarkOverlapDrain|BenchmarkFleetThroughput|BenchmarkRestartFallback|BenchmarkCheckpointCommit|BenchmarkCompressionPayoff|BenchmarkPageHash|BenchmarkFingerprintUpperHalf
 BENCH_PKGS ?= ./internal/coordinator ./internal/virtid ./internal/rank ./internal/memsim ./internal/fleet
 # MAX_REGRESS is bench-check's tolerated ns/op regression vs the
 # committed artifact (0.30 = 30%); CI loosens it because -benchtime=1x
@@ -22,7 +23,7 @@ BENCH_PKGS ?= ./internal/coordinator ./internal/virtid ./internal/rank ./interna
 # gate there.
 MAX_REGRESS ?= 0.30
 
-.PHONY: all build test race lint fmt bench bench-sched bench-virtid bench-fleet bench-json bench-check run smoke smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race lint fmt perfbench-test bench bench-sched bench-virtid bench-fleet bench-json bench-check run smoke smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -34,6 +35,12 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./...
+
+# perfbench-test runs the whole-job benchmark's own tests (64-rank jobs of
+# every workload, including its memoised-vs-memo-free fingerprint gate).
+# perfbench is a separate module, so `go test ./...` at the root skips it.
+perfbench-test:
+	cd perfbench && $(GO) test -count=1 ./...
 
 lint:
 	$(GO) vet ./...

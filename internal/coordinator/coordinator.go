@@ -60,7 +60,6 @@ package coordinator
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"strings"
@@ -367,7 +366,7 @@ type RestartRecord struct {
 	LostWork vtime.Duration
 	// TornLinks and CorruptLinks count chain links rejected during the
 	// verification walk (across retried attempts of this restart);
-	// VerifiedPages and VerifyTime account the per-page FNV rehash cost
+	// VerifiedPages and VerifyTime account the per-page rehash cost
 	// the walk charged to the ranks' checkpoint-overhead clocks.
 	TornLinks     int
 	CorruptLinks  int
@@ -1503,49 +1502,6 @@ func (c *Coordinator) releaseStaged(g *generation) {
 	}
 }
 
-// digestImage folds one image into the checkpoint fingerprint. Every
-// payload iterated here is sorted by construction (regions by address,
-// pages by index, virtid entries by virtual id), so the digest is
-// deterministic across runs.
-func (c *Coordinator) digestImage(h io.Writer, img rank.Image) {
-	if !img.Complete {
-		// A torn image digests its partial size so two runs of the same
-		// fault plan fingerprint identically while differing from the
-		// clean image. Content hashes below come from the capture-time
-		// memos either way.
-		fmt.Fprintf(h, "torn(%d/%d);", img.WrittenBytes, img.Bytes())
-	}
-	if img.Full {
-		fmt.Fprintf(h, "%d:%d:%d:%x:%+v;", img.RankID, img.PC, img.Clock, img.Mem.Fingerprint(), img.Stats)
-	} else {
-		fmt.Fprintf(h, "%d:%d:%d:delta(%d<-%d,brk=%x):%+v;",
-			img.RankID, img.PC, img.Clock, img.Seq, img.Base, img.Delta.Brk, img.Stats)
-		for _, rd := range img.Delta.Regions {
-			fmt.Fprintf(h, "rd(%q,%d,%d,%x,%d,%d", rd.Name, rd.Half, rd.Kind, rd.Addr, rd.Size, rd.DataLen)
-			for _, p := range rd.Pages {
-				fmt.Fprintf(h, ",%d=%x", p.Index, p.Hash)
-			}
-			fmt.Fprint(h, ");")
-		}
-	}
-	for _, m := range img.Inbox {
-		fmt.Fprintf(h, "in(%d,%d,%d,%d,%d);", m.Src, m.Dst, m.Tag, m.Bytes, m.Arrive)
-	}
-	for k := 0; k < virtid.NumKinds; k++ {
-		fmt.Fprintf(h, "vt(%d,%d", k, img.Virt.Next[k])
-		for _, e := range img.Virt.Entries[k] {
-			fmt.Fprintf(h, ",%d=%x", e.VID, e.Real)
-		}
-		fmt.Fprint(h, ");")
-	}
-	for _, req := range img.PendingReqs {
-		fmt.Fprintf(h, "pr(%d);", req)
-	}
-	for i := range img.Comms {
-		fmt.Fprintf(h, "cm(%d,%d,%d);", i, img.Comms[i], img.CommIDs[i])
-	}
-}
-
 // commitStage installs the captured link as the newest committed state:
 // a full link starts a fresh generation (trimming the retained set to
 // Config.RetainGenerations older ones), an incremental link extends the
@@ -1633,14 +1589,14 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	for i, r := range c.ranks {
 		c.compressStage(r, &images[i], &rec)
 	}
-	h := fnv.New64a()
+	d := newDigest()
 	c.drainReqs = c.drainReqs[:0]
 	for i, r := range c.ranks {
 		c.accountStage(images[i], &rec)
 		c.writeStage(r, &images[i], &rec)
-		c.digestImage(h, images[i])
+		digestImage(d, images[i])
 	}
-	rec.Fingerprint = h.Sum64()
+	rec.Fingerprint = d.sum()
 	c.commitStage(images, &rec)
 	// Drain-hop faults damage the committed link's durable copy after
 	// the fingerprint digested the clean staged payload; the drains are
@@ -1761,7 +1717,7 @@ var (
 // each, the usable chain is the longest prefix of links every one of
 // whose per-rank images verifies — torn links (partial writes) are
 // rejected outright, corrupt ones by rehashing every carried page or
-// region with the FNV digests recorded at capture (the verify cost is
+// region with the page digests recorded at capture (the verify cost is
 // charged to the ranks' checkpoint-overhead clocks). A generation whose
 // full link fails contributes nothing and the walk falls back a whole
 // generation; when every retained link is rejected, Restart returns
@@ -1991,17 +1947,6 @@ func bwString(bw float64) string {
 		return "free"
 	}
 	return fmt.Sprintf("%.1fGB/s", bw/1e9)
-}
-
-// FinalFingerprint digests every rank's final clock and upper-half
-// memory, so two runs can be compared for bit-identical results.
-func (c *Coordinator) FinalFingerprint() uint64 {
-	h := fnv.New64a()
-	for _, r := range c.ranks {
-		snap := r.Mem().SnapshotUpperHalf()
-		fmt.Fprintf(h, "%d:%d:%x;", r.ID(), r.Clock().Now(), snap.Fingerprint())
-	}
-	return h.Sum64()
 }
 
 // Report renders a deterministic plain-text summary of the run as one

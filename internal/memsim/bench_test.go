@@ -76,3 +76,56 @@ func BenchmarkSnapshotUpperHalfDelta(b *testing.B) {
 		return a.CommitUpperHalfDelta().PayloadBytes()
 	})
 }
+
+// BenchmarkPageHash measures the word-at-a-time page digest on one full
+// page; SetBytes makes the MB/s column the hashing throughput.
+func BenchmarkPageHash(b *testing.B) {
+	page := make([]byte, PageSize)
+	for i := range page {
+		page[i] = byte(i * 7)
+	}
+	b.SetBytes(PageSize)
+	b.ReportAllocs()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += pageHash(page)
+	}
+	if sink == 0 {
+		b.Fatal("page hashes summed to zero")
+	}
+}
+
+// BenchmarkFingerprintUpperHalf pins the copy-free live fingerprint: per
+// op one page of the rank-like space is dirtied and the space is
+// fingerprinted, which rehashes that one page and refolds the memoised
+// digests. The allocation ceiling fails a regression that copies region
+// contents or reallocates the page memo per fingerprint.
+func BenchmarkFingerprintUpperHalf(b *testing.B) {
+	a, state := rankLikeSpace()
+	a.Fingerprint() // build the page memo once
+	payload := make([]byte, 16)
+	b.ReportAllocs()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	startAllocs := ms.Mallocs
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		binary.LittleEndian.PutUint64(payload, uint64(i)+1)
+		if err := a.Write(state, uint64(i%16)*PageSize, payload); err != nil {
+			b.Fatal(err)
+		}
+		sink ^= a.Fingerprint()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	const maxAllocsPerOp = 2
+	if perOp := float64(ms.Mallocs-startAllocs) / float64(b.N); perOp > maxAllocsPerOp {
+		b.Errorf("fingerprint allocations = %.1f/op, want <= %d/op (no content copies, memo reused)",
+			perOp, maxAllocsPerOp)
+	}
+	if sink == 0 {
+		b.Fatal("fingerprints folded to zero")
+	}
+}

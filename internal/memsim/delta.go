@@ -3,15 +3,15 @@ package memsim
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 )
 
 // PageDelta is one dirty page carried by an incremental snapshot.
 type PageDelta struct {
 	// Index is the page's index within its region (offset Index*PageSize).
 	Index int
-	// Hash is the FNV-1a digest of the page's contents, used for the
-	// checkpoint fingerprint and for cross-generation dedup accounting.
+	// Hash is the pageHash of the page's contents — the same word-at-a-
+	// time digest the region content hashes are composed from — used for
+	// the checkpoint fingerprint and for Delta.Verify.
 	Hash uint64
 	// Data is the page's contents, clipped to the region's recorded data
 	// length (the last page of a partially materialised region is short).
@@ -85,13 +85,6 @@ func (d Delta) FullBytes() uint64 {
 	return total
 }
 
-// pageHash digests one page's contents.
-func pageHash(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
-}
-
 // pageExtent returns the [start, end) byte range of page idx clipped to
 // dataLen; start >= end means the page has no materialised content.
 func pageExtent(idx int, dataLen uint64) (uint64, uint64) {
@@ -146,6 +139,7 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 			page := PageDelta{Index: idx, Hash: pageHash(cur), Data: make([]byte, len(cur))}
 			copy(page.Data, cur)
 			rd.Pages = append(rd.Pages, page)
+			r.storePageHash(idx, page.Hash)
 		}
 		d.Regions = append(d.Regions, rd)
 		// Seal the region at its current contents: the next delta is
@@ -173,10 +167,10 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 			}
 			r.hasSeal = true
 			r.clearDirty()
-			// The content-hash memo stays invalidated: deltas never need
-			// the region digest, and recomputing it here would put an
-			// O(region) hash back on the O(dirty) capture path. The next
-			// Fingerprint refreshes it lazily.
+			// The region digest stays invalidated: folding it here would
+			// add work to the capture path that only a fingerprint needs.
+			// The page digests computed above are already in the memo, so
+			// the next fingerprint rehashes only the deduplicated pages.
 		}
 	}
 	a.gen++

@@ -20,13 +20,17 @@
 // copy-on-write (a clean region's snapshot aliases the last committed
 // backing slice instead of being deep-copied), and CommitUpperHalfDelta
 // (delta.go) emits only the dirty pages plus per-page content hashes.
+// Region content digests are composed from the same per-page hashes and
+// memoised page by page, so fingerprinting a live space rehashes only the
+// pages written since its last digest.
 package memsim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -161,6 +165,16 @@ type Region struct {
 	// every mutation so Fingerprint never re-hashes clean regions.
 	hash   uint64
 	hashOK bool
+	// pageHashes memoises pageHash of every materialised page of Data;
+	// the region digest is folded from them. stale is the per-page "hash
+	// stale" bitmap: every write path sets it alongside the dirty bitmap,
+	// but only rehashing clears it (commits leave it alone), so
+	// contentHashNow rehashes exactly the pages written since the last
+	// digest. pagesOK is false while the memo must be rebuilt whole
+	// (newborn, materialised, resized or restored regions).
+	pageHashes []uint64
+	stale      []uint64
+	pagesOK    bool
 }
 
 // End returns the first address past the region.
@@ -175,10 +189,16 @@ func (r *Region) markDirty(off, n uint64) {
 		return
 	}
 	r.ensureBitmap()
+	if len(r.stale) != len(r.dirty) {
+		grown := make([]uint64, len(r.dirty))
+		copy(grown, r.stale)
+		r.stale = grown
+	}
 	first := int(off / PageSize)
 	last := int((off + n - 1) / PageSize)
 	for p := first; p <= last; p++ {
 		r.dirty[p/64] |= 1 << (uint(p) % 64)
+		r.stale[p/64] |= 1 << (uint(p) % 64)
 	}
 	r.hashOK = false
 }
@@ -195,6 +215,7 @@ func (r *Region) markAllDirty() {
 		r.dirty[len(r.dirty)-1] = (1 << extra) - 1
 	}
 	r.hashOK = false
+	r.pagesOK = false
 }
 
 func (r *Region) ensureBitmap() {
@@ -258,36 +279,118 @@ func (r *Region) clone() Region {
 	return c
 }
 
-// contentHash digests one region's checkpointable state: layout metadata
-// and contents. Snapshot.Fingerprint combines these per-region digests, so
-// memoising them per region (invalidated by the dirty bitmap) makes
-// repeated fingerprints of a mostly-clean space cheap.
-func contentHash(name string, half Half, kind Kind, addr, size uint64, data []byte) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+// The content digest is an FNV-style hash applied a 64-bit word at a
+// time. hashOffset and hashPrime are the FNV-64 offset basis and prime.
+const (
+	hashOffset = 14695981039346656037
+	hashPrime  = 1099511628211
+)
+
+// mixWord folds one 64-bit word into a running digest.
+func mixWord(h, w uint64) uint64 { return (h ^ w) * hashPrime }
+
+// pageHash digests one page's contents: h = (h ^ word) * prime over the
+// little-endian uint64 words, then byte-wise over a tail shorter than a
+// word. It is the only content hash in the package — live page memos,
+// memo-free fingerprints, snapshot and delta verification, ApplyDelta and
+// PageDelta.Hash all use it. A change confined to one word (so any
+// single-byte flip) can never collide: each xor-multiply step is a
+// bijection on uint64 (xor with a fixed word is invertible and the prime
+// is odd, so multiplication by it is invertible mod 2^64), hence the
+// states after the changed step differ and every later step preserves
+// the difference. The same argument covers the byte-wise tail, and the
+// region digest, where a changed page is one changed word of the fold.
+func pageHash(data []byte) uint64 {
+	h := uint64(hashOffset)
+	for ; len(data) >= 8; data = data[8:] {
+		h = mixWord(h, binary.LittleEndian.Uint64(data))
 	}
-	writeU64(uint64(len(name)))
-	h.Write([]byte(name))
-	writeU64(uint64(half))
-	writeU64(uint64(kind))
-	writeU64(addr)
-	writeU64(size)
-	writeU64(uint64(len(data)))
-	h.Write(data)
-	return h.Sum64()
+	for _, b := range data {
+		h = mixWord(h, uint64(b))
+	}
+	return h
 }
 
-// contentHashNow returns the region's memoised content digest, refreshing
-// it if a write invalidated the memo.
-func (r *Region) contentHashNow() uint64 {
-	if !r.hashOK {
-		r.hash = contentHash(r.Name, r.Half, r.Kind, r.Addr, r.Size, r.Data)
-		r.hashOK = true
+// layoutHash starts a region digest from its layout metadata: name,
+// half, kind, address, size and materialised data length. The page
+// digests of the contents are then folded in with mixWord, in page order.
+func layoutHash(name string, half Half, kind Kind, addr, size, dataLen uint64) uint64 {
+	h := mixWord(hashOffset, uint64(len(name)))
+	for i := 0; i < len(name); i++ {
+		h = mixWord(h, uint64(name[i]))
 	}
-	return r.hash
+	for _, w := range [...]uint64{uint64(half), uint64(kind), addr, size, dataLen} {
+		h = mixWord(h, w)
+	}
+	return h
+}
+
+// contentHash digests one region's checkpointable state from its bytes:
+// the layout metadata composed with the pageHash of every PageSize page
+// of data (the last page may be short). It allocates nothing and uses no
+// memo; contentHashNow returns the same value from a region's live page
+// memo, rehashing only the pages written since its last digest.
+func contentHash(name string, half Half, kind Kind, addr, size uint64, data []byte) uint64 {
+	h := layoutHash(name, half, kind, addr, size, uint64(len(data)))
+	for off := 0; off < len(data); off += PageSize {
+		h = mixWord(h, pageHash(data[off:min(off+PageSize, len(data))]))
+	}
+	return h
+}
+
+// pageData returns the materialised bytes of page idx of the live region.
+func (r *Region) pageData(idx int) []byte {
+	start, end := pageExtent(idx, uint64(len(r.Data)))
+	return r.Data[start:end]
+}
+
+// contentHashNow returns the region's memoised content digest,
+// contentHash of its current state. A stale digest is refreshed by
+// rehashing only the stale pages (or every page when the memo was
+// invalidated whole) and refolding the page digests.
+func (r *Region) contentHashNow() uint64 {
+	if r.hashOK {
+		return r.hash
+	}
+	n := pageCount(uint64(len(r.Data)))
+	if !r.pagesOK || len(r.pageHashes) != n {
+		if cap(r.pageHashes) < n {
+			r.pageHashes = make([]uint64, n)
+		}
+		r.pageHashes = r.pageHashes[:n]
+		for i := range r.pageHashes {
+			r.pageHashes[i] = pageHash(r.pageData(i))
+		}
+		r.pagesOK = true
+	} else {
+		for w, word := range r.stale {
+			for ; word != 0; word &= word - 1 {
+				if p := w*64 + bits.TrailingZeros64(word); p < n {
+					r.pageHashes[p] = pageHash(r.pageData(p))
+				}
+			}
+		}
+	}
+	clear(r.stale)
+	h := layoutHash(r.Name, r.Half, r.Kind, r.Addr, r.Size, uint64(len(r.Data)))
+	for _, ph := range r.pageHashes {
+		h = mixWord(h, ph)
+	}
+	r.hash, r.hashOK = h, true
+	return h
+}
+
+// storePageHash records a page digest computed elsewhere (the delta
+// capture path) in the live memo, so the next digest need not rehash it.
+// It is a no-op while the memo awaits a whole rebuild.
+func (r *Region) storePageHash(idx int, h uint64) {
+	if !r.pagesOK || idx >= len(r.pageHashes) {
+		return
+	}
+	r.pageHashes[idx] = h
+	if w := idx / 64; w < len(r.stale) {
+		r.stale[w] &^= 1 << (uint(idx) % 64)
+	}
 }
 
 // Layout constants for the simulated address space. The exact values are
@@ -696,7 +799,7 @@ func (a *AddressSpace) sortedUpperLocked() []*Region {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	slices.SortFunc(out, func(x, y *Region) int { return cmp.Compare(x.Addr, y.Addr) })
 	return out
 }
 
@@ -792,33 +895,49 @@ func (s Snapshot) TotalBytes() uint64 {
 	return total
 }
 
+// fingerprintStart begins a snapshot digest from the program break and
+// the region count; the region digests are then folded in with mixWord,
+// in address order.
+func fingerprintStart(brk uint64, regions int) uint64 {
+	return mixWord(mixWord(hashOffset, brk), uint64(regions))
+}
+
 // Fingerprint returns a deterministic 64-bit digest of the snapshot:
 // region layout, tags and contents all contribute. Two snapshots are
 // Equal iff their fingerprints match (up to hash collision), so restart
 // determinism checks and simulation reports can compare images cheaply
-// without carrying full region contents around. It combines per-region
-// content digests, reusing the memoised RegionHashes when the capture
-// filled them in — the digest is identical whether or not the memo is
-// present, because the per-region function is the same.
+// without carrying full region contents around. It folds the per-region
+// digests, each the region's layout composed with the pageHash of every
+// page. It reuses the memoised RegionHashes when the capture filled them
+// in and otherwise recomputes every page from the bytes; the digest is
+// identical either way, because the per-region function is the same.
 func (s Snapshot) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeU64(s.Brk)
-	writeU64(uint64(len(s.Regions)))
+	h := fingerprintStart(s.Brk, len(s.Regions))
 	memoised := len(s.RegionHashes) == len(s.Regions)
 	for i := range s.Regions {
 		if memoised {
-			writeU64(s.RegionHashes[i])
+			h = mixWord(h, s.RegionHashes[i])
 			continue
 		}
 		r := &s.Regions[i]
-		writeU64(contentHash(r.Name, r.Half, r.Kind, r.Addr, r.Size, r.Data))
+		h = mixWord(h, contentHash(r.Name, r.Half, r.Kind, r.Addr, r.Size, r.Data))
 	}
-	return h.Sum64()
+	return h
+}
+
+// Fingerprint returns exactly SnapshotUpperHalf().Fingerprint() without
+// capturing: it folds the live regions' memoised digests under the lock,
+// copying no region contents and leaving dirty bitmaps and seals alone,
+// so observing the space never perturbs incremental checkpointing.
+func (a *AddressSpace) Fingerprint() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	upper := a.sortedUpperLocked()
+	h := fingerprintStart(a.brk, len(upper))
+	for _, r := range upper {
+		h = mixWord(h, r.contentHashNow())
+	}
+	return h
 }
 
 // RestoreUpperHalf rebuilds the upper half of the address space from a

@@ -2,11 +2,13 @@ package memsim
 
 import "fmt"
 
-// Verify recomputes every region's content digest and compares it against
-// the RegionHashes memo captured at commit time, returning the number of
-// pages rehashed and an error naming the first mismatching region. A
-// snapshot without a hash memo cannot be verified — full images always
-// carry one, so a missing memo is itself reported as unverifiable.
+// Verify recomputes every region's content digest from its bytes — the
+// pageHash of every page composed with the layout, ignoring any memo —
+// and compares it against the RegionHashes memo captured at commit time,
+// returning the number of pages rehashed and an error naming the first
+// mismatching region. A snapshot without a hash memo cannot be verified —
+// full images always carry one, so a missing memo is itself reported as
+// unverifiable.
 func (s Snapshot) Verify() (pages int, err error) {
 	if len(s.RegionHashes) != len(s.Regions) {
 		return 0, fmt.Errorf("memsim: snapshot carries no region hash memo (%d hashes for %d regions)",
@@ -23,9 +25,10 @@ func (s Snapshot) Verify() (pages int, err error) {
 	return pages, nil
 }
 
-// Verify recomputes every carried page's FNV-1a hash and compares it
-// against the hash recorded at capture time, returning the number of pages
-// rehashed and an error naming the first mismatching region and page.
+// Verify recomputes every carried page's pageHash — the same digest the
+// region content hashes are composed from — and compares it against the
+// hash recorded at capture time, returning the number of pages rehashed
+// and an error naming the first mismatching region and page.
 func (d Delta) Verify() (pages int, err error) {
 	for _, rd := range d.Regions {
 		for _, p := range rd.Pages {

@@ -860,7 +860,7 @@ func Overlay(base, img Image) Image {
 // VerifyImage checks a committed image's integrity the way a restart
 // would before trusting it: a torn image (Complete == false) is rejected
 // outright; otherwise every carried page or region is rehashed with the
-// same FNV digests recorded at capture time. It returns the number of
+// same page digests recorded at capture time. It returns the number of
 // pages rehashed — the coordinator charges restart verify cost per page —
 // and an error naming what failed.
 func VerifyImage(img Image) (pages int, err error) {
