@@ -23,7 +23,7 @@ BENCH_PKGS ?= ./internal/coordinator ./internal/virtid ./internal/rank ./interna
 # gate there.
 MAX_REGRESS ?= 0.30
 
-.PHONY: all build test race lint fmt perfbench-test bench bench-sched bench-virtid bench-fleet bench-json bench-check run smoke smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race lint fmt loc perfbench-test bench bench-sched bench-virtid bench-fleet bench-json bench-check run smoke smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -51,6 +51,14 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# loc prints the root module's non-test Go line count (perfbench/ is a
+# separate module; .bench_build/ holds its build output), the size
+# figure ROADMAP.md tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' \
+		-not -path './.bench_build/*' -not -path './.git/*' -print0 | \
+		xargs -0 cat | wc -l
 
 # bench runs every benchmark, including the scheduler-scaling set
 # (BenchmarkScheduler{64,512,4096,65536}Ranks in internal/coordinator;

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -27,83 +24,41 @@ func TestFailFlagValidation(t *testing.T) {
 	if err := os.WriteFile(specWithFaults, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"faults":[{"at":"checkpoint-commit","n":1,"kind":"meteor"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const plan = "testdata/faults/multi-failure.json"
 	cases := []struct {
 		name string
 		want string // substring the error must carry (the offending flag)
-		mut  func(*scenarioOpts)
+		args []string
 	}{
-		{"negative fail-after", "-fail-after", func(s *scenarioOpts) { s.FailAfter = -1 }},
-		{"fail-delay with no-fail", "-fail-delay has no effect with -no-fail", func(s *scenarioOpts) {
-			s.FailDelaySet = true
-			s.NoFail = true
-			s.NoFailSet = true
-		}},
-		{"fail-delay without fail-after", "-fail-delay has no effect without -fail-after", func(s *scenarioOpts) {
-			s.FailDelaySet = true
-		}},
-		{"non-positive fail-delay", "-fail-delay must be positive", func(s *scenarioOpts) {
-			s.FailDelay = 0
-			s.FailDelaySet = true
-			s.FailAfterSet = true
-		}},
-		{"fail-after with no-fail", "-fail-after has no effect with -no-fail", func(s *scenarioOpts) {
-			s.FailAfterSet = true
-			s.NoFail = true
-			s.NoFailSet = true
-		}},
-		{"fail-after with faults", "-fail-after cannot be combined with -faults", func(s *scenarioOpts) {
-			s.Faults = "testdata/faults/multi-failure.json"
-			s.FailAfterSet = true
-		}},
-		{"fail-delay with faults", "-fail-delay cannot be combined with -faults", func(s *scenarioOpts) {
-			s.Faults = "testdata/faults/multi-failure.json"
-			s.FailDelaySet = true
-		}},
-		{"no-fail with faults", "-no-fail cannot be combined with -faults", func(s *scenarioOpts) {
-			s.Faults = "testdata/faults/multi-failure.json"
-			s.NoFail = true
-			s.NoFailSet = true
-		}},
-		{"missing faults file", "-faults", func(s *scenarioOpts) { s.Faults = "testdata/faults/no-such-plan.json" }},
-		{"invalid faults file", "faults[0].kind", func(s *scenarioOpts) {
-			bad := filepath.Join(t.TempDir(), "bad.json")
-			if err := os.WriteFile(bad, []byte(`{"faults":[{"at":"checkpoint-commit","n":1,"kind":"meteor"}]}`), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			s.Faults = bad
-		}},
-		{"fail-after with spec plan", "declares its own fault plan", func(s *scenarioOpts) {
-			s.Spec = specWithFaults
-			s.SpecSet = true
-			s.FailAfterSet = true
-		}},
-		{"no-fail with spec plan", "declares its own fault plan", func(s *scenarioOpts) {
-			s.Spec = specWithFaults
-			s.SpecSet = true
-			s.NoFail = true
-			s.NoFailSet = true
-		}},
+		{"negative fail-after", "-fail-after", []string{"-fail-after", "-1"}},
+		{"fail-delay with no-fail", "-fail-delay has no effect with -no-fail", []string{"-fail-delay", "250us", "-no-fail"}},
+		{"fail-delay without fail-after", "-fail-delay has no effect without -fail-after", []string{"-fail-delay", "250us"}},
+		{"non-positive fail-delay", "-fail-delay must be positive", []string{"-fail-after", "2", "-fail-delay", "0"}},
+		{"fail-after with no-fail", "-fail-after has no effect with -no-fail", []string{"-fail-after", "2", "-no-fail"}},
+		{"fail-after with faults", "-fail-after cannot be combined with -faults", []string{"-faults", plan, "-fail-after", "2"}},
+		{"fail-delay with faults", "-fail-delay cannot be combined with -faults", []string{"-faults", plan, "-fail-delay", "250us"}},
+		{"no-fail with faults", "-no-fail cannot be combined with -faults", []string{"-faults", plan, "-no-fail"}},
+		{"missing faults file", "-faults", []string{"-faults", "testdata/faults/no-such-plan.json"}},
+		{"invalid faults file", "faults[0].kind", []string{"-faults", bad}},
+		{"fail-after with spec plan", "declares its own fault plan", []string{"-spec", specWithFaults, "-fail-after", "2"}},
+		{"no-fail with spec plan", "declares its own fault plan", []string{"-spec", specWithFaults, "-no-fail"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := defaultScenario()
-			tc.mut(&s)
-			_, err := buildConfig(s)
-			if err == nil {
-				t.Fatalf("buildConfig accepted invalid options %+v", s)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not carry %q", err, tc.want)
-			}
-			// The sweep builder shares the failure-flag surface; the
-			// spec-plan cases resolve specs per cell, so only the
-			// flag-level rejections apply there.
-			if strings.Contains(tc.name, "spec plan") {
-				return
-			}
-			s.Sweep = true
-			if _, err := buildSweep(s); err == nil {
-				t.Errorf("buildSweep accepted invalid options %+v", s)
+			// The sweep builder shares the failure-flag surface, spec
+			// plans included: each sweep spec is checked like -spec.
+			for _, args := range [][]string{tc.args, append([]string{"-sweep"}, tc.args...)} {
+				_, _, _, err := buildArgs(args...)
+				if err == nil {
+					t.Fatalf("build accepted invalid flags %v", args)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%v: error %q does not carry %q", args, err, tc.want)
+				}
 			}
 		})
 	}
@@ -121,14 +76,7 @@ func TestFaultPlanOverridesSpecPlan(t *testing.T) {
 	if err := os.WriteFile(spec, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := defaultScenario()
-	s.Spec = spec
-	s.SpecSet = true
-	s.Faults = "testdata/faults/virtual-time-crash.json"
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
+	cfg := configArgs(t, "-spec", spec, "-faults", "testdata/faults/virtual-time-crash.json")
 	if len(cfg.Faults) != 1 {
 		t.Fatalf("compiled faults = %d, want 1 (the CLI plan, not the spec's)", len(cfg.Faults))
 	}
@@ -144,27 +92,8 @@ func TestFaultPlanOverridesSpecPlan(t *testing.T) {
 // byte-identical output across repeated runs at -islands 8 -workers 4,
 // and land on the fault-free final fingerprint.
 func TestMultiFailurePlanAcceptance(t *testing.T) {
-	s := defaultScenario()
-	s.Faults = filepath.Join("testdata", "faults", "multi-failure.json")
-	s.Islands = 8
-	s.IslandsSet = true
-	s.Workers = 4
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	first, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	second, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
+	args := []string{"-faults", filepath.Join("testdata", "faults", "multi-failure.json"), "-islands", "8", "-workers", "4"}
+	first, second := runArgs(t, args...), runArgs(t, args...)
 	if first != second {
 		t.Errorf("multi-failure output differs between identical runs at -islands 8 -workers 4:\n--- run 1\n%s\n--- run 2\n%s",
 			first, second)
@@ -187,16 +116,7 @@ func TestMultiFailurePlanAcceptance(t *testing.T) {
 
 	// The recovery contract: the final application state matches the
 	// fault-free run's bit for bit.
-	clean := defaultScenario()
-	clean.NoFail = true
-	cleanCfg, err := buildConfig(clean)
-	if err != nil {
-		t.Fatalf("buildConfig (fault-free): %v", err)
-	}
-	cleanOut, err := runScenarioString(cleanCfg)
-	if err != nil {
-		t.Fatalf("fault-free run: %v", err)
-	}
+	cleanOut := runArgs(t, "-no-fail")
 	fp := func(out string) string {
 		for _, line := range strings.Split(out, "\n") {
 			if strings.HasPrefix(line, "final fingerprint: ") {
@@ -216,23 +136,9 @@ func TestMultiFailurePlanAcceptance(t *testing.T) {
 // byte-identical across pool widths, and each cell's hash matches the
 // standalone invocation's bytes.
 func TestSweepWithFaultPlan(t *testing.T) {
-	run := func(poolWorkers int) *bytes.Buffer {
-		s := defaultScenario()
-		s.Sweep = true
-		s.Faults = filepath.Join("testdata", "faults", "multi-failure.json")
-		s.SweepWorkers = poolWorkers
-		s.SweepWorkersSet = true
-		sw, err := buildSweep(s)
-		if err != nil {
-			t.Fatalf("buildSweep: %v", err)
-		}
-		var out bytes.Buffer
-		if err := runSweep(sw, &out); err != nil {
-			t.Fatalf("runSweep (pool=%d): %v", poolWorkers, err)
-		}
-		return &out
-	}
-	narrow, wide := run(1), run(4)
+	plan := filepath.Join("testdata", "faults", "multi-failure.json")
+	narrow := sweepArgs(t, "-faults", plan, "-sweep-workers", "1")
+	wide := sweepArgs(t, "-faults", plan, "-sweep-workers", "4")
 
 	var doc struct {
 		Cells []struct {
@@ -277,19 +183,7 @@ func TestSweepWithFaultPlan(t *testing.T) {
 	}
 
 	// Cell hash matches the standalone run's bytes.
-	single := defaultScenario()
-	single.Faults = filepath.Join("testdata", "faults", "multi-failure.json")
-	cfg, err := buildConfig(single)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	report, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("standalone run: %v", err)
-	}
-	h := fnv.New64a()
-	h.Write([]byte(report))
-	if want := fmt.Sprintf("%016x", h.Sum64()); cell.ReportFNV64 != want {
+	if want := reportHash(runArgs(t, "-faults", plan)); cell.ReportFNV64 != want {
 		t.Errorf("sweep cell hash %s, standalone bytes hash %s", cell.ReportFNV64, want)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,19 +11,81 @@ import (
 	"testing"
 
 	"mana/internal/coordinator"
+	"mana/internal/fleet"
 	"mana/internal/storage"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// runScenarioString captures runScenario's streamed output as a string,
-// the shape most tests compare.
-func runScenarioString(cfg coordinator.Config) (string, error) {
-	var buf bytes.Buffer
-	if err := runScenario(cfg, &buf); err != nil {
-		return "", err
+// buildArgs parses args as a manasim command line and runs the builder
+// on a fresh engine, returning the engine for the caller to run on.
+func buildArgs(args ...string) (*fleet.Engine, fleet.Job, *fleet.Sweep, error) {
+	fs := flag.NewFlagSet("manasim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o, err := parseFlags(fs, args)
+	if err != nil {
+		return nil, fleet.Job{}, nil, err
 	}
-	return buf.String(), nil
+	eng := fleet.NewEngine()
+	job, sw, err := o.build(eng)
+	return eng, job, sw, err
+}
+
+// mustJob builds a single run's Job from args, failing the test on a
+// rejection.
+func mustJob(t *testing.T, args ...string) (*fleet.Engine, fleet.Job) {
+	t.Helper()
+	eng, job, sw, err := buildArgs(args...)
+	if err != nil {
+		t.Fatalf("build %v: %v", args, err)
+	}
+	if sw != nil {
+		t.Fatalf("build %v: got a sweep, want a single run", args)
+	}
+	return eng, job
+}
+
+// runArgs runs the single job args describe and returns everything it
+// printed: restart notices followed by the report.
+func runArgs(t *testing.T, args ...string) string {
+	t.Helper()
+	eng, job := mustJob(t, args...)
+	var buf bytes.Buffer
+	if err := runJob(eng, job, "", &buf); err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	return buf.String()
+}
+
+// configArgs returns the coordinator configuration the engine translates
+// args' Job into.
+func configArgs(t *testing.T, args ...string) coordinator.Config {
+	t.Helper()
+	eng, job := mustJob(t, args...)
+	cfg, err := eng.Config(job)
+	if err != nil {
+		t.Fatalf("config %v: %v", args, err)
+	}
+	return cfg
+}
+
+// checkGolden compares got with testdata/<name>, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("report deviates from %s.\n--- got\n%s\n--- want\n%s", golden, got, want)
+	}
 }
 
 // TestDefaultScenarioReportGolden pins the default scenario's report
@@ -32,30 +95,7 @@ func runScenarioString(cfg coordinator.Config) (string, error) {
 //
 //	go test ./cmd/manasim -run TestDefaultScenarioReportGolden -update
 func TestDefaultScenarioReportGolden(t *testing.T) {
-	cfg, err := buildConfig(defaultScenario())
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	got, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("runScenario: %v", err)
-	}
-	golden := filepath.Join("testdata", "default_report.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("default-scenario report deviates from golden file.\n--- got\n%s\n--- want\n%s", got, want)
-	}
+	checkGolden(t, "default_report.golden", runArgs(t))
 }
 
 // TestIncrementalScenarioReportGolden pins the -incremental scenario the
@@ -64,38 +104,14 @@ func TestDefaultScenarioReportGolden(t *testing.T) {
 //
 //	go test ./cmd/manasim -run TestIncrementalScenarioReportGolden -update
 func TestIncrementalScenarioReportGolden(t *testing.T) {
-	s := defaultScenario()
-	s.Incremental = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	got, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("runScenario: %v", err)
-	}
+	got := runArgs(t, "-incremental")
 	if !strings.Contains(got, "incremental=true") {
 		t.Errorf("incremental report does not surface its mode:\n%s", got)
 	}
-	golden := filepath.Join("testdata", "incremental_report.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("incremental-scenario report deviates from golden file.\n--- got\n%s\n--- want\n%s", got, want)
-	}
+	checkGolden(t, "incremental_report.golden", got)
 }
 
-// TestOverlapScenarioReportGolden pins the -workload overlap scenario:
+// TestOverlapScenarioReportGolden pins the -spec overlap scenario:
 // staggered sub-communicator collectives, a checkpoint requested while
 // at least two of them are in flight (so the topological-sort drain
 // planner orders a real dependency graph), failure and restart.
@@ -103,16 +119,7 @@ func TestIncrementalScenarioReportGolden(t *testing.T) {
 //
 //	go test ./cmd/manasim -run TestOverlapScenarioReportGolden -update
 func TestOverlapScenarioReportGolden(t *testing.T) {
-	s := defaultScenario()
-	s.Workload = "overlap"
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	got, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("runScenario: %v", err)
-	}
+	got := runArgs(t, "-spec", "overlap")
 	// The acceptance bar for the drain planner: at least one checkpoint
 	// drained >= 2 simultaneously in-flight collectives.
 	if !regexpMustFind(t, got, `coll-drain: planned=([2-9]|\d\d+) overlap-width=([2-9]|\d\d+)`) {
@@ -121,22 +128,7 @@ func TestOverlapScenarioReportGolden(t *testing.T) {
 	if !strings.Contains(got, "comm-splits executed=16") {
 		t.Errorf("overlap report missing comm-split accounting:\n%s", got)
 	}
-	golden := filepath.Join("testdata", "overlap_report.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("overlap-scenario report deviates from golden file.\n--- got\n%s\n--- want\n%s", got, want)
-	}
+	checkGolden(t, "overlap_report.golden", got)
 }
 
 // regexpMustFind reports whether the pattern matches, failing the test
@@ -153,25 +145,8 @@ func regexpMustFind(t *testing.T, s, pattern string) bool {
 // TestScenarioByteIdenticalAcrossRuns is the CLI-level determinism
 // check: the same scenario must render the same bytes every time.
 func TestScenarioByteIdenticalAcrossRuns(t *testing.T) {
-	s := defaultScenario()
-	s.Ranks = 4
-	s.Steps = 10
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	r1, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	r2, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
+	r1 := runArgs(t, "-ranks", "4", "-steps", "10")
+	r2 := runArgs(t, "-ranks", "4", "-steps", "10")
 	if r1 != r2 {
 		t.Errorf("reports differ between identical runs:\n--- run 1\n%s\n--- run 2\n%s", r1, r2)
 	}
@@ -180,27 +155,8 @@ func TestScenarioByteIdenticalAcrossRuns(t *testing.T) {
 // TestKernelFlagChangesReport exercises the patched-kernel path through
 // the CLI plumbing.
 func TestKernelFlagChangesReport(t *testing.T) {
-	s := defaultScenario()
-	s.Ranks = 4
-	s.Steps = 6
-	s.NoFail = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	unpatched, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("unpatched run: %v", err)
-	}
-	s.Kernel = "patched"
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	patched, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("patched run: %v", err)
-	}
+	unpatched := runArgs(t, "-ranks", "4", "-steps", "6", "-no-fail")
+	patched := runArgs(t, "-ranks", "4", "-steps", "6", "-no-fail", "-kernel", "patched")
 	if unpatched == patched {
 		t.Error("kernel personality had no effect on the report")
 	}
@@ -210,27 +166,8 @@ func TestKernelFlagChangesReport(t *testing.T) {
 // baseline charges a higher per-lookup cost, so the report must differ
 // from the sharded default.
 func TestVirtidFlagChangesReport(t *testing.T) {
-	s := defaultScenario()
-	s.Ranks = 4
-	s.Steps = 6
-	s.NoFail = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	sharded, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	s.Virtid = "mutex"
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	mutex, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("mutex run: %v", err)
-	}
+	sharded := runArgs(t, "-ranks", "4", "-steps", "6", "-no-fail")
+	mutex := runArgs(t, "-ranks", "4", "-steps", "6", "-no-fail", "-virtid", "mutex")
 	if sharded == mutex {
 		t.Error("virtid implementation had no effect on the report")
 	}
@@ -241,93 +178,79 @@ func TestVirtidFlagChangesReport(t *testing.T) {
 	}
 }
 
-// TestBuildConfigValidation covers the error paths that used to live in
-// main's flag handling.
-func TestBuildConfigValidation(t *testing.T) {
+// TestBuildConfigValidation runs the single-run half of the builder's
+// rejection table.
+func TestBuildConfigValidation(t *testing.T) { checkRejections(t, false) }
+
+// TestBuildSweepValidation runs the -sweep half of the same table.
+func TestBuildSweepValidation(t *testing.T) { checkRejections(t, true) }
+
+// checkRejections is the builder's one rejection table, single runs and
+// -sweep alike: every invalid flag combination is refused with an error
+// that names the offending flag. Arguments split on spaces; a case whose
+// arguments start with -sweep belongs to the sweep half, so names are
+// unique within each half.
+func checkRejections(t *testing.T, sweep bool) {
+	hugeTrace := filepath.Join(t.TempDir(), "huge.trace")
+	if err := os.WriteFile(hugeTrace, []byte("manatrace v1 ranks=99999999999"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
-		mut  func(*scenarioOpts)
+		want string // substring the error must carry (the offending flag)
+		args string
 	}{
-		{"zero ranks", func(s *scenarioOpts) { s.Ranks = 0 }},
-		{"negative steps", func(s *scenarioOpts) { s.Steps = -1 }},
-		{"unknown kernel", func(s *scenarioOpts) { s.Kernel = "plan9" }},
-		{"unknown virtid", func(s *scenarioOpts) { s.Virtid = "bogolock" }},
-		{"unknown workload", func(s *scenarioOpts) { s.Workload = "spiral" }},
-		{"tiny overlap group", func(s *scenarioOpts) { s.Workload = "overlap"; s.GroupSize = 1; s.GroupSet = true }},
-		{"negative full-every", func(s *scenarioOpts) { s.FullEvery = -1 }},
-		{"group without splits", func(s *scenarioOpts) { s.GroupSize = 4; s.GroupSet = true }},
-		{"group on splitless spec", func(s *scenarioOpts) { s.Spec = "stencil"; s.SpecSet = true; s.GroupSize = 4; s.GroupSet = true }},
-		{"spec and workload", func(s *scenarioOpts) {
-			s.Spec = "overlap"
-			s.SpecSet = true
-			s.Workload = "overlap"
-			s.WorkloadSet = true
-		}},
-		{"unknown spec", func(s *scenarioOpts) { s.Spec = "no-such-spec.json"; s.SpecSet = true }},
-		{"trace and spec", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.Spec = "stencil"; s.SpecSet = true }},
-		{"trace and workload", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.WorkloadSet = true }},
-		{"trace and group", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.GroupSet = true }},
-		{"trace and ranks", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.RanksSet = true }},
-		{"trace and steps", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.StepsSet = true }},
-		{"missing trace file", func(s *scenarioOpts) { s.Trace = "testdata/no-such.trace"; s.TraceSet = true }},
-		{"negative islands", func(s *scenarioOpts) { s.Islands = -1; s.IslandsSet = true }},
-		{"zero workers", func(s *scenarioOpts) { s.Workers = 0 }},
-		{"workers without islands", func(s *scenarioOpts) { s.Workers = 4 }},
-		{"compress without incremental", func(s *scenarioOpts) { s.Compress = true; s.CompressSet = true }},
-		{"compress-cost without compress", func(s *scenarioOpts) { s.CompressCost = 0.5; s.CompressCostSet = true }},
-		{"unknown storage profile", func(s *scenarioOpts) { s.Storage = "quantum"; s.StorageSet = true }},
-		{"compressed profile without incremental", func(s *scenarioOpts) { s.Storage = "staged-compressed"; s.StorageSet = true }},
-		{"legacy straggler with storage", func(s *scenarioOpts) {
-			s.LegacyStraggler = true
-			s.LegacyStragglerSet = true
-			s.Storage = "staged"
-			s.StorageSet = true
-		}},
-		{"legacy straggler with storage flag", func(s *scenarioOpts) {
-			s.LegacyStraggler = true
-			s.LegacyStragglerSet = true
-			s.BBCapacity = 1 << 20
-			s.BBCapacitySet = true
-		}},
-		{"sweep-storage without sweep", func(s *scenarioOpts) { s.SweepStorage = "direct,staged" }},
-		{"drain-hop plan without staging", func(s *scenarioOpts) {
-			s.Faults = filepath.Join("testdata", "faults", "staging", "drain-torn-fallback.json")
-		}},
+		{"zero ranks", "-ranks", "-ranks 0"},
+		{"ranks above MaxRanks", "ranks must be in", "-ranks 65537"},
+		{"negative steps", "-steps", "-steps -1"},
+		{"unknown kernel", "-kernel", "-kernel plan9"},
+		{"unknown virtid", "-virtid", "-virtid bogolock"},
+		{"tiny overlap group", "-group", "-spec overlap -group 1"},
+		{"negative full-every", "-full-every", "-full-every -1"},
+		{"group without splits", "-group", "-group 4"},
+		{"group on splitless spec", "-group", "-spec stencil -group 4"},
+		{"unknown spec", "-spec", "-spec no-such-spec.json"},
+		{"trace and spec", "-spec", "-trace x.trace -spec stencil"},
+		{"trace and group", "-group", "-trace x.trace -group 4"},
+		{"trace and ranks", "-ranks", "-trace x.trace -ranks 8"},
+		{"trace and steps", "-steps", "-trace x.trace -steps 4"},
+		{"missing trace file", "-trace", "-trace testdata/no-such.trace"},
+		{"oversized trace header", "ranks", "-trace " + hugeTrace},
+		{"negative islands", "-islands", "-islands -1"},
+		{"zero workers", "-workers", "-workers 0"},
+		{"workers without islands", "-workers", "-workers 4"},
+		{"compress without incremental", "-compress", "-compress"},
+		{"compress-cost without compress", "-compress-cost", "-compress-cost 0.5"},
+		{"unknown storage profile", "-storage", "-storage quantum"},
+		{"compressed profile without incremental", "-storage", "-storage staged-compressed"},
+		{"sweep-storage without sweep", "-sweep-storage", "-sweep-storage direct,staged"},
+		{"drain-hop plan without staging", "-storage", "-faults testdata/faults/staging/drain-torn-fallback.json"},
+		{"record with sweep", "-record", "-sweep -record out.trace"},
+		{"trace with sweep", "-trace", "-sweep -trace x.trace"},
+		{"group with sweep", "-group", "-sweep -group 4"},
+		{"bad ranks entry", "-sweep-ranks", "-sweep -sweep-ranks 8,zero"},
+		{"zero ranks entry", "-sweep-ranks", "-sweep -sweep-ranks 0"},
+		{"bad ckpt entry", "-sweep-ckpt", "-sweep -sweep-ckpt 5ms,eventually"},
+		{"negative ckpt entry", "-sweep-ckpt", "-sweep -sweep-ckpt -1ms"},
+		{"bad virtid entry", "-sweep-virtid", "-sweep -sweep-virtid sharded,bogolock"},
+		{"bad incremental entry", "-sweep-incremental", "-sweep -sweep-incremental true,maybe"},
+		{"unknown sweep spec", "-sweep-specs", "-sweep -sweep-specs default,no-such-spec.json"},
+		{"zero sweep workers", "-sweep-workers", "-sweep -sweep-workers 0"},
+		{"unknown kernel", "-kernel", "-sweep -kernel plan9"},
 	}
 	for _, tc := range cases {
+		if strings.HasPrefix(tc.args, "-sweep ") != sweep {
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			s := defaultScenario()
-			tc.mut(&s)
-			if _, err := buildConfig(s); err == nil {
-				t.Errorf("buildConfig accepted invalid scenario %+v", s)
+			_, _, _, err := buildArgs(strings.Fields(tc.args)...)
+			if err == nil {
+				t.Fatalf("build accepted invalid flags %q", tc.args)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %s", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestLegacyStragglerReportGolden pins the -legacy-straggler escape
-// hatch to the retired flat-bandwidth model's exact bytes: the golden is
-// a frozen copy of the pre-pipeline default report and is deliberately
-// NOT regenerable with -update — if this test fails, the escape hatch
-// broke its compatibility promise.
-func TestLegacyStragglerReportGolden(t *testing.T) {
-	s := defaultScenario()
-	s.LegacyStraggler = true
-	s.LegacyStragglerSet = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	got, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("runScenario: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "legacy_straggler_report.golden"))
-	if err != nil {
-		t.Fatalf("read frozen golden: %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("-legacy-straggler deviates from the retired model's frozen bytes.\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }
 
@@ -335,34 +258,15 @@ func TestLegacyStragglerReportGolden(t *testing.T) {
 // surface: profiles resolve, individual flags overlay them, and a lone
 // burst-buffer flag completes from the model defaults.
 func TestStorageFlagResolution(t *testing.T) {
-	s := defaultScenario()
-	s.Storage = "staged"
-	s.StorageSet = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig(-storage staged): %v", err)
-	}
+	cfg := configArgs(t, "-storage", "staged")
 	if !cfg.Storage.Staging || cfg.Storage.BBCapacity != storage.DefaultBBCapacity {
 		t.Errorf("-storage staged compiled wrong: %+v", cfg.Storage)
 	}
-
-	s.PFSBandwidth = 2e9
-	s.PFSBandwidthSet = true
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig(-storage staged -pfs-bandwidth): %v", err)
-	}
+	cfg = configArgs(t, "-storage", "staged", "-pfs-bandwidth", "2e9")
 	if cfg.Storage.PFSBandwidth != 2e9 || !cfg.Storage.Staging {
 		t.Errorf("-pfs-bandwidth did not overlay the profile: %+v", cfg.Storage)
 	}
-
-	s2 := defaultScenario()
-	s2.BBCapacity = 1 << 20
-	s2.BBCapacitySet = true
-	cfg, err = buildConfig(s2)
-	if err != nil {
-		t.Fatalf("buildConfig(-bb-capacity alone): %v", err)
-	}
+	cfg = configArgs(t, "-bb-capacity", "1048576")
 	if !cfg.Storage.Staging || cfg.Storage.BBCapacity != 1<<20 || cfg.Storage.BBBandwidth != storage.DefaultBBBandwidth {
 		t.Errorf("lone -bb-capacity did not complete a burst buffer from defaults: %+v", cfg.Storage)
 	}
@@ -381,31 +285,17 @@ func TestSpecStorageBlock(t *testing.T) {
 	if err := os.WriteFile(spec, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := defaultScenario()
-	s.Spec = spec
-	s.SpecSet = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig(spec block): %v", err)
-	}
+	cfg := configArgs(t, "-spec", spec)
 	if !cfg.Storage.Staging || cfg.Storage.BBBandwidth != 4e9 || cfg.Storage.BBCapacity != 1<<20 {
 		t.Errorf("spec storage block not applied: %+v", cfg.Storage)
 	}
 
-	s.BBCapacity = 2 << 20
-	s.BBCapacitySet = true
-	_, err = buildConfig(s)
+	_, _, _, err := buildArgs("-spec", spec, "-bb-capacity", "2097152")
 	if err == nil || !strings.Contains(err.Error(), "-bb-capacity has no effect on spec") {
 		t.Errorf("flag alongside spec block: err = %v, want named rejection", err)
 	}
 
-	s.BBCapacitySet = false
-	s.Storage = "direct"
-	s.StorageSet = true
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig(-storage overrides block): %v", err)
-	}
+	cfg = configArgs(t, "-spec", spec, "-storage", "direct")
 	if cfg.Storage.Staging {
 		t.Errorf("-storage direct did not override the spec block: %+v", cfg.Storage)
 	}
@@ -416,36 +306,18 @@ func TestSpecStorageBlock(t *testing.T) {
 // performance knobs, so every setting must reproduce the serial
 // report byte for byte.
 func TestIslandFlagsAreReportNeutral(t *testing.T) {
-	baseCfg, err := buildConfig(defaultScenario())
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	base, err := runScenarioString(baseCfg)
-	if err != nil {
-		t.Fatalf("serial runScenario: %v", err)
-	}
+	base := runArgs(t)
 	for _, tc := range []struct {
 		name             string
-		islands, workers int
+		islands, workers string
 	}{
-		{"islands only", 4, 1},
-		{"islands and workers", 8, 4},
+		{"islands only", "4", "1"},
+		{"islands and workers", "8", "4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := defaultScenario()
-			s.Islands = tc.islands
-			s.IslandsSet = true
-			s.Workers = tc.workers
-			cfg, err := buildConfig(s)
-			if err != nil {
-				t.Fatalf("buildConfig: %v", err)
-			}
-			got, err := runScenarioString(cfg)
-			if err != nil {
-				t.Fatalf("runScenario: %v", err)
-			}
+			got := runArgs(t, "-islands", tc.islands, "-workers", tc.workers)
 			if got != base {
-				t.Errorf("-islands %d -workers %d changed the report.\n--- sharded\n%s\n--- serial\n%s",
+				t.Errorf("-islands %s -workers %s changed the report.\n--- sharded\n%s\n--- serial\n%s",
 					tc.islands, tc.workers, got, base)
 			}
 		})
@@ -453,34 +325,36 @@ func TestIslandFlagsAreReportNeutral(t *testing.T) {
 }
 
 // TestSpecIslandsHint checks that a spec's islands field seeds the
-// partition, and that an explicit -islands flag overrides it.
+// partition, also when -islands 0 is passed explicitly (the flag's
+// "spec hint or serial" value), that a positive -islands overrides it,
+// and that the hint leaves the report unchanged.
 func TestSpecIslandsHint(t *testing.T) {
-	spec := filepath.Join(t.TempDir(), "hint.json")
-	body := `{
-		"name": "hint",
-		"islands": 4,
-		"phases": [{"name": "main", "steps": 2, "ops": [{"op": "compute", "mean": "1ms"}]}]
-	}`
-	if err := os.WriteFile(spec, []byte(body), 0o644); err != nil {
+	dir := t.TempDir()
+	phases := `"phases": [{"name": "main", "steps": 2, "ops": [{"op": "compute", "mean": "1ms"}]}]`
+	spec := filepath.Join(dir, "hint.json")
+	if err := os.WriteFile(spec, []byte(`{"name": "hint", "islands": 4, `+phases+`}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := defaultScenario()
-	s.Spec = spec
-	s.SpecSet = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{nil, 4},
+		{[]string{"-islands", "0"}, 4},
+		{[]string{"-islands", "2"}, 2},
+	} {
+		args := append([]string{"-spec", spec}, tc.args...)
+		if got := configArgs(t, args...).Islands; got != tc.want {
+			t.Errorf("%v: cfg.Islands = %d, want %d", args, got, tc.want)
+		}
 	}
-	if cfg.Islands != 4 {
-		t.Errorf("spec hint not applied: cfg.Islands = %d, want 4", cfg.Islands)
+	// The hint is a performance knob: a hint-free twin of the spec prints
+	// the same report.
+	serial := filepath.Join(dir, "serial.json")
+	if err := os.WriteFile(serial, []byte(`{"name": "hint", `+phases+`}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	s.Islands = 2
-	s.IslandsSet = true
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig with -islands override: %v", err)
-	}
-	if cfg.Islands != 2 {
-		t.Errorf("-islands should override the spec hint: cfg.Islands = %d, want 2", cfg.Islands)
+	if hinted, plain := runArgs(t, "-spec", spec, "-islands", "0"), runArgs(t, "-spec", serial); hinted != plain {
+		t.Errorf("the islands hint changed the report.\n--- hinted\n%s\n--- serial\n%s", hinted, plain)
 	}
 }

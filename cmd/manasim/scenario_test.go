@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,72 +19,12 @@ import (
 func TestLibrarySpecReportGoldens(t *testing.T) {
 	for _, name := range []string{"stencil", "master-worker", "bursty-alltoall", "pipeline"} {
 		t.Run(name, func(t *testing.T) {
-			s := defaultScenario()
-			s.Spec = name
-			s.SpecSet = true
-			cfg, err := buildConfig(s)
-			if err != nil {
-				t.Fatalf("buildConfig: %v", err)
-			}
-			got, err := runScenarioString(cfg)
-			if err != nil {
-				t.Fatalf("runScenario: %v", err)
-			}
+			got := runArgs(t, "-spec", name)
 			if !strings.Contains(got, "injected failure") {
 				t.Errorf("%s scenario did not exercise failure/restart:\n%s", name, got)
 			}
-			golden := filepath.Join("testdata", name+"_report.golden")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("read golden (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("%s report deviates from golden file.\n--- got\n%s\n--- want\n%s", name, got, want)
-			}
+			checkGolden(t, name+"_report.golden", got)
 		})
-	}
-}
-
-// TestWorkloadAliasMatchesSpec pins the alias contract: -workload
-// default|overlap must be byte-for-byte the same job as -spec of the
-// same name.
-func TestWorkloadAliasMatchesSpec(t *testing.T) {
-	for _, name := range []string{"default", "overlap"} {
-		alias := defaultScenario()
-		alias.Workload = name
-		alias.WorkloadSet = true
-		aliasCfg, err := buildConfig(alias)
-		if err != nil {
-			t.Fatalf("buildConfig(-workload %s): %v", name, err)
-		}
-		aliasReport, err := runScenarioString(aliasCfg)
-		if err != nil {
-			t.Fatalf("runScenario(-workload %s): %v", name, err)
-		}
-
-		spec := defaultScenario()
-		spec.Spec = name
-		spec.SpecSet = true
-		specCfg, err := buildConfig(spec)
-		if err != nil {
-			t.Fatalf("buildConfig(-spec %s): %v", name, err)
-		}
-		specReport, err := runScenarioString(specCfg)
-		if err != nil {
-			t.Fatalf("runScenario(-spec %s): %v", name, err)
-		}
-		if aliasReport != specReport {
-			t.Errorf("-workload %s and -spec %s render different reports:\n--- alias\n%s\n--- spec\n%s",
-				name, name, aliasReport, specReport)
-		}
 	}
 }
 
@@ -93,23 +34,10 @@ func TestWorkloadAliasMatchesSpec(t *testing.T) {
 func TestSpecDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	s := defaultScenario()
-	s.Spec = "bursty-alltoall"
-	s.SpecSet = true
-	s.Ranks = 12
-	s.Steps = 16
 	var reports []string
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		cfg, err := buildConfig(s)
-		if err != nil {
-			t.Fatalf("buildConfig: %v", err)
-		}
-		report, err := runScenarioString(cfg)
-		if err != nil {
-			t.Fatalf("runScenario (GOMAXPROCS=%d): %v", procs, err)
-		}
-		reports = append(reports, report)
+		reports = append(reports, runArgs(t, "-spec", "bursty-alltoall", "-ranks", "12", "-steps", "16"))
 	}
 	if reports[0] != reports[1] {
 		t.Errorf("report depends on GOMAXPROCS:\n--- 1\n%s\n--- 4\n%s", reports[0], reports[1])
@@ -121,36 +49,19 @@ func TestSpecDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // original report byte for byte. The spec's checkpoint policy must be
 // the default one, since a trace carries no policy.
 func TestRecordReplayRoundTrip(t *testing.T) {
-	s := defaultScenario()
-	s.Spec = "stencil"
-	s.SpecSet = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	recorded, err := runScenarioString(cfg)
-	if err != nil {
+	trace := filepath.Join(t.TempDir(), "stencil.trace")
+	eng, job := mustJob(t, "-spec", "stencil", "-record", trace)
+	var out bytes.Buffer
+	if err := runJob(eng, job, trace, &out); err != nil {
 		t.Fatalf("recorded run: %v", err)
 	}
+	recorded := out.String()
 
-	trace := filepath.Join(t.TempDir(), "stencil.trace")
-	if err := recordTrace(trace, cfg.Programs); err != nil {
-		t.Fatalf("recordTrace: %v", err)
+	_, replay := mustJob(t, "-trace", trace)
+	if len(replay.Programs) != job.Ranks {
+		t.Fatalf("replay rank count %d, want %d from the trace header", len(replay.Programs), job.Ranks)
 	}
-	replay := defaultScenario()
-	replay.Trace = trace
-	replay.TraceSet = true
-	replayCfg, err := buildConfig(replay)
-	if err != nil {
-		t.Fatalf("buildConfig(-trace): %v", err)
-	}
-	if replayCfg.Ranks != cfg.Ranks {
-		t.Fatalf("replay rank count %d, want %d from the trace header", replayCfg.Ranks, cfg.Ranks)
-	}
-	replayed, err := runScenarioString(replayCfg)
-	if err != nil {
-		t.Fatalf("replayed run: %v", err)
-	}
+	replayed := runArgs(t, "-trace", trace)
 	if recorded != replayed {
 		t.Errorf("record->replay altered the report:\n--- recorded\n%s\n--- replayed\n%s", recorded, replayed)
 	}
@@ -174,29 +85,7 @@ func TestSpecFileEqualsLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lib := defaultScenario()
-	lib.Spec = "pipeline"
-	lib.SpecSet = true
-	libCfg, err := buildConfig(lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := defaultScenario()
-	file.Spec = path
-	file.SpecSet = true
-	fileCfg, err := buildConfig(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	libReport, err := runScenarioString(libCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fileReport, err := runScenarioString(fileCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if libReport != fileReport {
+	if runArgs(t, "-spec", "pipeline") != runArgs(t, "-spec", path) {
 		t.Error("a file copy of the pipeline spec renders a different report than the library spec")
 	}
 }

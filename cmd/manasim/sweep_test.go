@@ -5,101 +5,58 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestBuildSweepValidation covers the sweep flag surface's error paths:
-// single-run-only flags are rejected by name, and malformed dimension
-// lists are refused.
-func TestBuildSweepValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		want string // substring the error must carry (the offending flag)
-		mut  func(*scenarioOpts)
-	}{
-		{"record with sweep", "-record", func(s *scenarioOpts) { s.Record = "out.trace" }},
-		{"trace with sweep", "-trace", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true }},
-		{"group with sweep", "-group", func(s *scenarioOpts) { s.GroupSize = 4; s.GroupSet = true }},
-		{"spec and workload", "-workload", func(s *scenarioOpts) {
-			s.Spec = "overlap"
-			s.SpecSet = true
-			s.WorkloadSet = true
-		}},
-		{"bad ranks entry", "-sweep-ranks", func(s *scenarioOpts) { s.SweepRanks = "8,zero" }},
-		{"zero ranks entry", "-sweep-ranks", func(s *scenarioOpts) { s.SweepRanks = "0" }},
-		{"bad ckpt entry", "-sweep-ckpt", func(s *scenarioOpts) { s.SweepCkpt = "5ms,eventually" }},
-		{"negative ckpt entry", "-sweep-ckpt", func(s *scenarioOpts) { s.SweepCkpt = "-1ms" }},
-		{"bad virtid entry", "-sweep-virtid", func(s *scenarioOpts) { s.SweepVirtid = "sharded,bogolock" }},
-		{"bad incremental entry", "-sweep-incremental", func(s *scenarioOpts) { s.SweepIncr = "true,maybe" }},
-		{"zero sweep workers", "-sweep-workers", func(s *scenarioOpts) { s.SweepWorkers = 0; s.SweepWorkersSet = true }},
-		{"unknown kernel", "-kernel", func(s *scenarioOpts) { s.Kernel = "plan9" }},
-		{"unknown workload", "-workload", func(s *scenarioOpts) { s.Workload = "spiral" }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := defaultScenario()
-			s.Sweep = true
-			tc.mut(&s)
-			_, err := buildSweep(s)
-			if err == nil {
-				t.Fatalf("buildSweep accepted invalid options %+v", s)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not name %s", err, tc.want)
-			}
-		})
-	}
-}
-
 // TestBuildConfigRejectsSweepFlags pins the other direction: a sweep
 // dimension flag without -sweep is rejected naming the flag instead of
 // being silently ignored.
 func TestBuildConfigRejectsSweepFlags(t *testing.T) {
-	cases := []struct {
-		flag string
-		mut  func(*scenarioOpts)
-	}{
-		{"-sweep-specs", func(s *scenarioOpts) { s.SweepSpecs = "default,overlap" }},
-		{"-sweep-ranks", func(s *scenarioOpts) { s.SweepRanks = "4,8" }},
-		{"-sweep-ckpt", func(s *scenarioOpts) { s.SweepCkpt = "1ms" }},
-		{"-sweep-virtid", func(s *scenarioOpts) { s.SweepVirtid = "mutex" }},
-		{"-sweep-incremental", func(s *scenarioOpts) { s.SweepIncr = "true" }},
-		{"-sweep-workers", func(s *scenarioOpts) { s.SweepWorkers = 4; s.SweepWorkersSet = true }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.flag, func(t *testing.T) {
-			s := defaultScenario()
-			tc.mut(&s)
-			_, err := buildConfig(s)
+	for _, args := range [][]string{
+		{"-sweep-specs", "default,overlap"},
+		{"-sweep-ranks", "4,8"},
+		{"-sweep-ckpt", "1ms"},
+		{"-sweep-virtid", "mutex"},
+		{"-sweep-incremental", "true"},
+		{"-sweep-workers", "4"},
+	} {
+		flagName := args[0]
+		t.Run(flagName, func(t *testing.T) {
+			_, _, _, err := buildArgs(args...)
 			if err == nil {
-				t.Fatalf("buildConfig accepted %s without -sweep", tc.flag)
+				t.Fatalf("build accepted %s without -sweep", flagName)
 			}
-			if !strings.Contains(err.Error(), tc.flag) {
-				t.Errorf("error %q does not name %s", err, tc.flag)
+			if !strings.Contains(err.Error(), flagName) {
+				t.Errorf("error %q does not name %s", err, flagName)
 			}
 		})
 	}
 }
 
 // TestBuildSweepDefaultsToSingleRunFlags checks that `-sweep` alone is
-// a 1-cell grid of exactly the single-run scenario.
+// a 1-cell grid of exactly the single-run scenario: every dimension
+// holds its single-run flag's value and the base is the single run's
+// Job.
 func TestBuildSweepDefaultsToSingleRunFlags(t *testing.T) {
-	s := defaultScenario()
-	s.Sweep = true
-	sw, err := buildSweep(s)
+	_, single := mustJob(t)
+	_, _, sw, err := buildArgs("-sweep")
 	if err != nil {
-		t.Fatalf("buildSweep: %v", err)
+		t.Fatalf("build -sweep: %v", err)
+	}
+	if sw == nil {
+		t.Fatal("build -sweep returned no grid")
 	}
 	if len(sw.Specs) != 1 || sw.Specs[0] != "default" {
 		t.Errorf("Specs = %v, want [default]", sw.Specs)
 	}
-	if len(sw.Ranks) != 1 || sw.Ranks[0] != s.Ranks {
-		t.Errorf("Ranks = %v, want [%d]", sw.Ranks, s.Ranks)
+	if len(sw.Ranks) != 1 || sw.Ranks[0] != single.Ranks {
+		t.Errorf("Ranks = %v, want [%d]", sw.Ranks, single.Ranks)
 	}
-	if len(sw.CkptAt) != 1 || sw.CkptAt[0] != s.CkptAt {
-		t.Errorf("CkptAt = %v, want [%v]", sw.CkptAt, s.CkptAt)
+	if len(sw.CkptAt) != 1 || sw.CkptAt[0] != time.Duration(single.CkptAt) {
+		t.Errorf("CkptAt = %v, want [%v]", sw.CkptAt, single.CkptAt)
 	}
 	if len(sw.Virtids) != 1 || sw.Virtids[0] != "sharded" {
 		t.Errorf("Virtids = %v, want [sharded]", sw.Virtids)
@@ -107,8 +64,11 @@ func TestBuildSweepDefaultsToSingleRunFlags(t *testing.T) {
 	if len(sw.Incremental) != 1 || sw.Incremental[0] {
 		t.Errorf("Incremental = %v, want [false]", sw.Incremental)
 	}
-	if sw.Base.FailAfter != s.FailAfter {
-		t.Errorf("Base.FailAfter = %d, want %d", sw.Base.FailAfter, s.FailAfter)
+	// The base is the single run's Job minus the spec, which each cell
+	// sets from the grid.
+	single.Spec = nil
+	if !reflect.DeepEqual(sw.Base, single) {
+		t.Errorf("Base = %+v, want the single run's Job %+v", sw.Base, single)
 	}
 }
 
@@ -130,29 +90,36 @@ type sweepDoc struct {
 	} `json:"totals"`
 }
 
+// sweepArgs builds and runs the -sweep args describe, returning the JSON
+// aggregate it printed.
+func sweepArgs(t *testing.T, args ...string) *bytes.Buffer {
+	t.Helper()
+	eng, _, sw, err := buildArgs(append([]string{"-sweep"}, args...)...)
+	if err != nil {
+		t.Fatalf("build -sweep %v: %v", args, err)
+	}
+	var out bytes.Buffer
+	if err := runSweep(eng, *sw, &out); err != nil {
+		t.Fatalf("runSweep %v: %v", args, err)
+	}
+	return &out
+}
+
+// reportHash is the FNV-64a a sweep cell records for a report.
+func reportHash(report string) string {
+	h := fnv.New64a()
+	h.Write([]byte(report))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // TestSweepCellsMatchStandaloneRuns is the CLI-level byte-identity
 // statement for fleet mode: every cell hash in the -sweep aggregate
 // must equal the FNV-64a of the bytes the equivalent standalone manasim
 // invocation prints.
 func TestSweepCellsMatchStandaloneRuns(t *testing.T) {
-	s := defaultScenario()
-	s.Sweep = true
-	s.Steps = 10
-	s.SweepSpecs = "default,overlap"
-	s.SweepRanks = "4,8"
-	s.SweepCkpt = "1ms"
-	s.SweepVirtid = "sharded,mutex"
-	s.SweepIncr = "false,true"
-	s.SweepWorkers = 4
-	s.SweepWorkersSet = true
-	sw, err := buildSweep(s)
-	if err != nil {
-		t.Fatalf("buildSweep: %v", err)
-	}
-	var out bytes.Buffer
-	if err := runSweep(sw, &out); err != nil {
-		t.Fatalf("runSweep: %v", err)
-	}
+	out := sweepArgs(t, "-steps", "10", "-sweep-specs", "default,overlap", "-sweep-ranks", "4,8",
+		"-sweep-ckpt", "1ms", "-sweep-virtid", "sharded,mutex", "-sweep-incremental", "false,true",
+		"-sweep-workers", "4")
 	var doc sweepDoc
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatalf("aggregate is not valid JSON: %v\n%s", err, out.String())
@@ -164,29 +131,9 @@ func TestSweepCellsMatchStandaloneRuns(t *testing.T) {
 		t.Errorf("SpecCompiles = %d, want 4 (2 specs x 2 rank counts)", doc.Totals.SpecCompiles)
 	}
 	for _, cell := range doc.Cells {
-		ckptAt, err := time.ParseDuration(cell.CkptAt)
-		if err != nil {
-			t.Fatalf("cell ckpt_at %q: %v", cell.CkptAt, err)
-		}
-		single := defaultScenario()
-		single.Spec = cell.Spec
-		single.SpecSet = true
-		single.Steps = s.Steps
-		single.Ranks = cell.Ranks
-		single.Virtid = cell.Virtid
-		single.Incremental = cell.Incremental
-		single.CkptAt = ckptAt
-		cfg, err := buildConfig(single)
-		if err != nil {
-			t.Fatalf("buildConfig for cell %+v: %v", cell, err)
-		}
-		report, err := runScenarioString(cfg)
-		if err != nil {
-			t.Fatalf("standalone run for cell %+v: %v", cell, err)
-		}
-		h := fnv.New64a()
-		h.Write([]byte(report))
-		if want := fmt.Sprintf("%016x", h.Sum64()); cell.ReportFNV64 != want {
+		report := runArgs(t, "-spec", cell.Spec, "-steps", "10", "-ranks", fmt.Sprint(cell.Ranks),
+			"-virtid", cell.Virtid, fmt.Sprintf("-incremental=%v", cell.Incremental), "-ckpt-at", cell.CkptAt)
+		if want := reportHash(report); cell.ReportFNV64 != want {
 			t.Errorf("cell %s/ranks=%d/virtid=%s/incr=%v: aggregate hash %s, standalone bytes hash %s",
 				cell.Spec, cell.Ranks, cell.Virtid, cell.Incremental, cell.ReportFNV64, want)
 		}

@@ -45,8 +45,8 @@
 //	pages rewritten to identical contents deduplicated against the last
 //	committed generation), is charged the page-table scan and per-page
 //	hash costs of the capture, and then the image write time per dirty
-//	byte actually carried (with the §3.4 parallel-filesystem straggler
-//	model), all to its checkpoint-overhead account.
+//	byte actually carried through the storage pipeline (stragglers
+//	emerge from PFS contention), all to its checkpoint-overhead account.
 //
 // Restart discards every rank's lower half, bootstraps a fresh one,
 // replays the saved upper-half region maps, restores clocks and network
@@ -117,28 +117,13 @@ type Config struct {
 	// a contended aggregate-bandwidth PFS, optional per-node burst-buffer
 	// staging with asynchronous drain, and optional delta-page
 	// compression. BaseConfig sets the direct contended default
-	// (storage.DefaultConfig); Storage.LegacyStraggler reinstates the
-	// retired flat-bandwidth write path below.
+	// (storage.DefaultConfig). Write stragglers emerge from PFS queueing
+	// contention.
 	Storage storage.Config
-	// CkptWriteBandwidth is the per-rank flat write bandwidth of the
-	// retired §3.4 model.
-	//
-	// Deprecated: consulted only when Storage.LegacyStraggler is set;
-	// the storage pipeline's contended PFS replaces it. CkptReadBandwidth
-	// remains live: restart reads are per-rank in either model.
-	CkptWriteBandwidth float64
 	// CkptReadBandwidth is the per-rank parallel-filesystem bandwidth for
 	// restart reads. Zero or negative values model free (instantaneous)
 	// I/O, matching netsim.Params.SerializeCost.
 	CkptReadBandwidth float64
-	// StragglerP and StragglerMax drive the retired §3.4 dialled-in
-	// write-straggler model.
-	//
-	// Deprecated: consulted only when Storage.LegacyStraggler is set.
-	// In the storage pipeline stragglers emerge from PFS queueing
-	// contention instead of a random multiplier.
-	StragglerP   float64
-	StragglerMax float64
 	// Incremental enables delta checkpoint images: after the first (full)
 	// checkpoint, images carry only the pages dirtied since the previous
 	// one, so commit cost tracks dirty bytes instead of address-space
@@ -163,8 +148,9 @@ type Config struct {
 	// Worker count never changes observable output either, only
 	// wall-clock time.
 	Workers int
-	// Seed drives the straggler RNG (and nothing else — the scheduler
-	// itself is deterministic).
+	// Seed only labels the report: it drives no RNG here. Workload
+	// jitter is already compiled into Programs, and the scheduler is
+	// deterministic.
 	Seed uint64
 	// Triggers are the scheduled checkpoint requests.
 	Triggers []Trigger
@@ -175,8 +161,16 @@ type Config struct {
 	// event dispatch "iterations" is not a meaningful unit. Internally it
 	// compiles to a one-fault plan appended to Faults — the declarative
 	// engine is the only failure machinery.
+	//
+	// Deprecated: set Faults instead; faultplan.Legacy expresses this
+	// pair as a plan, and the fleet engine's Config translator no longer
+	// sets it. It stays only while the perfbench module assigns it.
 	FailAtCheckpoint int
-	FailDelay        vtime.Duration
+	// FailDelay is the virtual-time delay FailAtCheckpoint's failure
+	// fires after its commit.
+	//
+	// Deprecated: see FailAtCheckpoint.
+	FailDelay vtime.Duration
 	// Faults is the compiled fault plan: an ordered list of one-shot
 	// injections at named protocol points (faultplan.Compile output).
 	Faults []faultplan.Fault
@@ -201,23 +195,20 @@ type Config struct {
 }
 
 // BaseConfig returns the default cost-model parameters — bandwidths,
-// straggler model, network, failure delay — without compiling any
-// programs. Callers (the CLI's buildConfig, the fleet engine) overlay
+// storage, network, failure delay — without compiling any programs.
+// Callers (the fleet engine's Config translator) overlay
 // ranks, programs and triggers on top; DefaultConfig adds the default
 // 8-rank workload for tests that want a complete runnable config.
 func BaseConfig() Config {
 	return Config{
-		Ranks:              8,
-		Personality:        kernelsim.Unpatched,
-		Virtid:             virtid.ImplSharded,
-		Net:                netsim.DefaultParams(),
-		Storage:            storage.DefaultConfig(),
-		CkptWriteBandwidth: 2e9,
-		CkptReadBandwidth:  4e9,
-		StragglerP:         0.1,
-		StragglerMax:       4.0,
-		FullImageEvery:     4,
-		Seed:               42,
+		Ranks:             8,
+		Personality:       kernelsim.Unpatched,
+		Virtid:            virtid.ImplSharded,
+		Net:               netsim.DefaultParams(),
+		Storage:           storage.DefaultConfig(),
+		CkptReadBandwidth: 4e9,
+		FullImageEvery:    4,
+		Seed:              42,
 		// FailDelay is the deterministic mapping of the old scheduler's
 		// 25-iteration failure countdown: at the default workload
 		// granularity one full-scan iteration advanced virtual time by
@@ -290,7 +281,7 @@ type CheckpointRecord struct {
 	// no committed base falls back to full even mid-chain).
 	FullImages  int
 	DeltaImages int
-	// MaxWriteTime is the slowest rank's image write (straggler-scaled);
+	// MaxWriteTime is the slowest rank's image write (PFS queueing included);
 	// for incremental checkpoints it is charged per dirty byte carried.
 	MaxWriteTime vtime.Duration
 	// DrainPlanned counts the in-flight collectives the dependency-
@@ -324,7 +315,7 @@ type CheckpointRecord struct {
 	PFSWait vtime.Duration
 	// DurableAt is when this checkpoint's link finished draining to the
 	// PFS and became a durable restore candidate; for direct writes it
-	// equals SafeAt + MaxWriteTime. Zero in legacy-straggler mode.
+	// equals SafeAt + MaxWriteTime.
 	DurableAt vtime.Time
 	// TornImages counts per-rank images whose PFS write was interrupted by
 	// an injected torn-write fault (Complete == false, partial payload);
@@ -404,7 +395,7 @@ type chainLink struct {
 	// pendingDrains counts the per-rank drains still in flight;
 	// staged[r] records rank r's staged bytes so the drain-done event
 	// (or generation retirement) can free its buffer occupancy. staged
-	// is nil for direct/legacy links.
+	// is nil for direct links.
 	pendingDrains int
 	staged        []uint64
 }
@@ -496,7 +487,6 @@ type Coordinator struct {
 	cfg   Config
 	ranks []*rank.Rank
 	net   *netsim.Network
-	rng   *vtime.RNG
 	// mempool backs every rank's address-space buffers; it comes from
 	// the run's Scratch so buffers recycle across runs (and across
 	// restarts within a run).
@@ -663,7 +653,6 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg: cfg,
 		net: netsim.New(cfg.Net),
-		rng: vtime.NewRNG(cfg.Seed),
 		// One lane per island plus the global lane, each preallocated
 		// for its steady-state population (one ready event per rank).
 		queues:      sc.takeQueues(islands+1, cfg.Ranks/islands+16),
@@ -684,7 +673,7 @@ func New(cfg Config) *Coordinator {
 		mempool:     sc.mem,
 		pfs:         storage.NewPFS(cfg.Storage.PFSBandwidth),
 	}
-	if cfg.Storage.Staging && !cfg.Storage.LegacyStraggler {
+	if cfg.Storage.Staging {
 		c.bbUsed = make([]uint64, cfg.Ranks)
 	}
 	for id := range c.islandOf {
@@ -1346,7 +1335,7 @@ func (c *Coordinator) accountStage(img rank.Image, rec *CheckpointRecord) {
 // are the chain's integrity anchor, and a torn write was aborted mid-copy.
 func (c *Coordinator) compressStage(r *rank.Rank, img *rank.Image, rec *CheckpointRecord) {
 	sc := &c.cfg.Storage
-	if sc.LegacyStraggler || !sc.Compression || img.Full || !img.Complete {
+	if !sc.Compression || img.Full || !img.Complete {
 		return
 	}
 	stored, raw := sc.CompressDelta(&img.Delta)
@@ -1367,21 +1356,8 @@ func (c *Coordinator) compressStage(r *rank.Rank, img *rank.Image, rec *Checkpoi
 // bandwidth, with payload beyond the buffer's free capacity written
 // through synchronously to the contended PFS. Staged bytes become a
 // drain request, queued on the PFS once the staging copy finishes.
-// Legacy-straggler mode reinstates the retired §3.4 flat-bandwidth write
-// with the dialled-in random straggler multiplier.
 func (c *Coordinator) writeStage(r *rank.Rank, img *rank.Image, rec *CheckpointRecord) {
 	sc := &c.cfg.Storage
-	if sc.LegacyStraggler {
-		writeTime := ioTime(img.WrittenBytes, c.cfg.CkptWriteBandwidth)
-		if c.cfg.StragglerP > 0 {
-			writeTime = vtime.Duration(float64(writeTime) * c.rng.Straggler(c.cfg.StragglerP, c.cfg.StragglerMax))
-		}
-		r.ChargeCkptOverhead(writeTime)
-		if writeTime > rec.MaxWriteTime {
-			rec.MaxWriteTime = writeTime
-		}
-		return
-	}
 	start := rec.SafeAt
 	var writeTime vtime.Duration
 	if !sc.Staging {
@@ -1418,7 +1394,7 @@ func (c *Coordinator) writeStage(r *rank.Rank, img *rank.Image, rec *CheckpointR
 }
 
 // scheduleDrains installs the just-committed link's durability state: a
-// direct or legacy write is durable at commit; a staged link queues one
+// direct write is durable at commit; a staged link queues one
 // PFS drain per rank (rank order, so the FIFO contention is
 // deterministic) and schedules each completion as a global-lane event.
 // The link becomes durable only when its last drain lands — until then
@@ -1427,10 +1403,6 @@ func (c *Coordinator) scheduleDrains(rec *CheckpointRecord) {
 	g := c.gens[len(c.gens)-1]
 	link := &g.links[len(g.links)-1]
 	sc := &c.cfg.Storage
-	if sc.LegacyStraggler {
-		link.durable = true
-		return
-	}
 	if !sc.Staging || len(c.drainReqs) == 0 {
 		link.durable = true
 		rec.DurableAt = rec.SafeAt.Add(rec.MaxWriteTime)
@@ -1578,8 +1550,7 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	// links) can damage the captured payloads before compression,
 	// accounting, write charging and digesting see them; for a clean
 	// checkpoint the split loop is byte-identical to the fused one
-	// (captures do not interact across ranks, and in legacy mode the
-	// straggler RNG draws stay in rank order).
+	// (captures do not interact across ranks).
 	incremental := c.wantIncremental()
 	images := make([]rank.Image, len(c.ranks))
 	for i, r := range c.ranks {
@@ -1977,18 +1948,17 @@ func (c *Coordinator) WriteReport(w io.Writer) {
 	}
 	fmt.Fprintf(w, "comms: %d (1 world + %d split), comm-splits executed=%d\n",
 		len(c.comms), len(c.comms)-1, splits)
-	if sc := &c.cfg.Storage; !sc.LegacyStraggler {
-		fmt.Fprintf(w, "storage: pfs-aggregate=%s", bwString(sc.PFSBandwidth))
-		if sc.Staging {
-			fmt.Fprintf(w, ", burst-buffer=%s cap=%d", bwString(sc.BBBandwidth), sc.BBCapacity)
-		} else {
-			fmt.Fprintf(w, ", staging=off")
-		}
-		if sc.Compression {
-			fmt.Fprintf(w, ", compression=on cost=%gns/B\n", sc.CompressCost)
-		} else {
-			fmt.Fprintf(w, ", compression=off\n")
-		}
+	sc := &c.cfg.Storage
+	fmt.Fprintf(w, "storage: pfs-aggregate=%s", bwString(sc.PFSBandwidth))
+	if sc.Staging {
+		fmt.Fprintf(w, ", burst-buffer=%s cap=%d", bwString(sc.BBBandwidth), sc.BBCapacity)
+	} else {
+		fmt.Fprintf(w, ", staging=off")
+	}
+	if sc.Compression {
+		fmt.Fprintf(w, ", compression=on cost=%gns/B\n", sc.CompressCost)
+	} else {
+		fmt.Fprintf(w, ", compression=off\n")
 	}
 
 	fmt.Fprintf(w, "\nranks:\n")
@@ -2013,16 +1983,14 @@ func (c *Coordinator) WriteReport(w io.Writer) {
 			rec.FullBytes, rec.DirtyBytes, rec.DedupRatio())
 		fmt.Fprintf(w, "     coll-drain: planned=%d overlap-width=%d drain-events=%d\n",
 			rec.DrainPlanned, rec.OverlapWidth, rec.DrainEvents)
-		if !c.cfg.Storage.LegacyStraggler {
-			fmt.Fprintf(w, "     io: stored %d bytes", rec.StoredBytes)
-			if c.cfg.Storage.Compression {
-				fmt.Fprintf(w, " (saved %d, cpu %v)", rec.CompressSavedBytes, rec.CompressTime)
-			}
-			if c.cfg.Storage.Staging {
-				fmt.Fprintf(w, ", staged %d spilled %d", rec.StagedBytes, rec.SpilledBytes)
-			}
-			fmt.Fprintf(w, ", pfs-wait %v, durable@%v\n", rec.PFSWait, rec.DurableAt)
+		fmt.Fprintf(w, "     io: stored %d bytes", rec.StoredBytes)
+		if sc.Compression {
+			fmt.Fprintf(w, " (saved %d, cpu %v)", rec.CompressSavedBytes, rec.CompressTime)
 		}
+		if sc.Staging {
+			fmt.Fprintf(w, ", staged %d spilled %d", rec.StagedBytes, rec.SpilledBytes)
+		}
+		fmt.Fprintf(w, ", pfs-wait %v, durable@%v\n", rec.PFSWait, rec.DurableAt)
 		if rec.TornImages > 0 || rec.CorruptPages > 0 || rec.DrainTornImages > 0 || rec.DrainCorruptPages > 0 {
 			fmt.Fprintf(w, "     faults: torn-images=%d corrupt-pages=%d", rec.TornImages, rec.CorruptPages)
 			if rec.DrainTornImages > 0 || rec.DrainCorruptPages > 0 {

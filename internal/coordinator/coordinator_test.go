@@ -26,7 +26,6 @@ func smallConfig(ranks, steps int) Config {
 // — and that the buffered message still reaches the application.
 func TestDrainReachesZeroBeforeSnapshot(t *testing.T) {
 	cfg := smallConfig(2, 0)
-	cfg.StragglerP = 0
 	cfg.Triggers = []Trigger{{At: 0, InFlight: true}}
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		if id == 0 {
@@ -81,7 +80,6 @@ func TestDrainReachesZeroBeforeSnapshot(t *testing.T) {
 // checkpoint until the collective completes.
 func TestMidCollectiveCheckpointDeferred(t *testing.T) {
 	cfg := smallConfig(4, 0)
-	cfg.StragglerP = 0
 	cfg.Triggers = []Trigger{{At: 0, MidCollective: true}}
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		return []scenario.Op{
@@ -255,7 +253,6 @@ func TestReportByteIdentical(t *testing.T) {
 // own state.
 func TestRestartDiscardsPendingRequests(t *testing.T) {
 	cfg := smallConfig(4, 0)
-	cfg.StragglerP = 0
 	cfg.Triggers = []Trigger{
 		{At: 0},
 		// Fires mid-collective before the failure; ranks must finish the

@@ -62,8 +62,7 @@ func TestIncrementalCheckpointBytes10x(t *testing.T) {
 	if second.DirtyBytes-second.DedupBytes != second.ImageBytes {
 		t.Errorf("dirty(%d) - dedup(%d) != written(%d)", second.DirtyBytes, second.DedupBytes, second.ImageBytes)
 	}
-	// The incremental write must also be reflected in the straggler-
-	// modelled commit time: writing ~100x fewer bytes cannot take as long
+	// The incremental write must also be reflected in the commit time: writing ~100x fewer bytes cannot take as long
 	// as the full-image generation did.
 	if second.MaxWriteTime >= first.MaxWriteTime {
 		t.Errorf("incremental slowest write %v not below full-image %v", second.MaxWriteTime, first.MaxWriteTime)

@@ -18,7 +18,6 @@ import (
 func idleHeavyConfig(ranks int) Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
-	cfg.StragglerP = 0
 	cfg.Triggers = nil
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		if id == 0 {
@@ -45,7 +44,6 @@ func TestBlockedRanksConsumeZeroSchedulerWork(t *testing.T) {
 	const computePhases = 100
 	cfg := DefaultConfig()
 	cfg.Ranks = 3
-	cfg.StragglerP = 0
 	cfg.Triggers = nil
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		if id == 0 {
@@ -173,7 +171,6 @@ func benchOverlapDrain(b *testing.B, overlap bool) {
 	mkConfig := func() Config {
 		cfg := DefaultConfig()
 		cfg.Ranks = ranks
-		cfg.StragglerP = 0
 		cfg.Seed = 11
 		if overlap {
 			cfg.Programs = wl
@@ -243,7 +240,6 @@ func islandBenchConfig(ranks, islands, workers int) Config {
 	groupSize := ranks / islands
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
-	cfg.StragglerP = 0
 	cfg.Triggers = nil
 	cfg.Net.GroupSize = groupSize
 	cfg.Net.CrossGroupLatency = 10 * vtime.Microsecond

@@ -10,8 +10,9 @@
 // standalone JSON document via the -faults CLI flag. Validation follows the
 // scenario engine's named-field error style: every error names the exact
 // offending field, e.g. `faultplan: faults[1].pages: must be at least 1 for
-// kind "page-corruption"`. The legacy Config.FailAtCheckpoint/FailDelay
-// pair is expressible as a two-line plan via Legacy.
+// kind "page-corruption"`. The CLI's single-crash -fail-after/-fail-delay
+// pair (fleet.Job.FailAfter/FailDelay) compiles to a one-fault plan via
+// Legacy, so a compiled plan is the coordinator's only failure input.
 package faultplan
 
 import (
@@ -29,7 +30,7 @@ type Anchor int
 
 const (
 	// AtCheckpointCommit fires Delay after checkpoint #N commits — the
-	// legacy FailAtCheckpoint/FailDelay failure point.
+	// -fail-after/-fail-delay failure point.
 	AtCheckpointCommit Anchor = iota
 	// AtDrainStart fires Delay after the drain for upcoming checkpoint #N
 	// begins, killing the job while the topo-ordered drain plan is still
@@ -330,8 +331,9 @@ func (p *Plan) Compile(ranks int) ([]Fault, error) {
 	return out, nil
 }
 
-// Legacy expresses the historical Config.FailAtCheckpoint/FailDelay pair as
-// a plan: one rank crash, delay after checkpoint #n commits.
+// Legacy expresses the single-crash knob (-fail-after n -fail-delay
+// delay) as a plan: one rank crash, delay after checkpoint #n commits.
+// n must be at least 1.
 func Legacy(n int, delay vtime.Duration) Plan {
 	return Plan{Faults: []Spec{{
 		At:    "checkpoint-commit",

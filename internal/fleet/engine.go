@@ -48,32 +48,41 @@ import (
 // recoverable within the configured bound.
 var ErrRestartsExhausted = errors.New("fleet: restart budget exhausted")
 
-// Job names one simulation the engine can run: the workload spec plus
-// the knobs cmd/manasim exposes as flags, mapped verbatim. Note the
-// zero Virtid is virtid.ImplMutex (the MANA baseline), not the sharded
-// table the CLI defaults to.
+// Job is the run description: everything one simulation needs, from the
+// workload to the failure and storage policy. cmd/manasim parses its
+// flags into a Job and Engine.Config is the only translation from a Job
+// to a coordinator configuration, so a CLI run, a sweep cell and a
+// library caller with the same Job print the same bytes. Note the zero
+// Virtid is virtid.ImplMutex (the MANA baseline), not the sharded table
+// the CLI defaults to.
 type Job struct {
-	Spec  *scenario.Spec
-	Ranks int
-	Steps int
-	Seed  uint64
+	// Spec is the workload, compiled through the engine's cache. Exactly
+	// one of Spec and Programs is set.
+	Spec *scenario.Spec
+	// Programs replays recorded per-rank op streams (a trace) verbatim
+	// instead of compiling a spec; the rank count is len(Programs), and
+	// Ranks, Steps and Group are unused.
+	Programs []scenario.Program
+	Ranks    int
+	Steps    int
+	Seed     uint64
 	// Group is the sub-communicator width for specs that split
 	// communicators; 0 uses the spec's own default.
 	Group  int
 	Kernel kernelsim.Personality
 	Virtid virtid.Impl
-	// CkptAt anchors the spec's checkpoint policy in virtual time.
+	// CkptAt anchors the checkpoint policy in virtual time.
 	CkptAt vtime.Time
-	// FailAfter injects a failure after this checkpoint commits
-	// (0 = never); the engine's Run restarts and completes the job.
+	// FailAfter injects a rank crash FailDelay after this checkpoint
+	// commits (0 = never); the engine's Run restarts and completes the
+	// job. It compiles to faultplan.Legacy and applies only when neither
+	// Faults nor the spec declares a plan.
 	FailAfter int
-	// FailDelay overrides how long after the commit the legacy failure
-	// fires (0 keeps the coordinator default).
+	// FailDelay is FailAfter's virtual-time delay (0 = 250us).
 	FailDelay vtime.Duration
 	// Faults, when non-nil, is a declarative fault plan that replaces
-	// the legacy FailAfter knob (and any plan the spec itself declares).
-	// It is compiled per job because rank counts vary across sweep
-	// cells.
+	// the spec's plan and FailAfter. It is compiled per job because rank
+	// counts vary across sweep cells.
 	Faults      *faultplan.Plan
 	Incremental bool
 	FullEvery   int
@@ -82,14 +91,15 @@ type Job struct {
 	// replaces any storage block the spec itself declares. Nil uses the
 	// spec's block, or the direct-to-PFS default when the spec has none.
 	Storage *storage.Spec
-	// LegacyStraggler restores the pre-storage flat-bandwidth write model
-	// with RNG-drawn stragglers. Mutually exclusive with Storage.
-	LegacyStraggler bool
 	// Islands <= 0 applies the spec's lane-count hint (or serial);
 	// Workers <= 1 drains serially. Both are pure performance knobs.
 	Islands int
 	Workers int
 }
+
+// defaultFailDelay is FailAfter's delay when FailDelay is zero: a few
+// application steps after the commit at the library specs' granularity.
+const defaultFailDelay = 250 * vtime.Microsecond
 
 // Result carries one completed run's headline metrics — everything the
 // sweep aggregate reports besides the report hash, which the caller
@@ -213,11 +223,11 @@ func (e *Engine) Compiles() uint64 {
 	return e.compiles
 }
 
-// Triggers translates a spec's checkpoint policy into coordinator
+// triggers translates a spec's checkpoint policy into coordinator
 // triggers, all anchored at the given virtual time. A spec (or a trace,
 // which carries no policy) without one gets the classic
 // three-checkpoint sequence.
-func Triggers(cks []scenario.CheckpointSpec, at vtime.Time) []coordinator.Trigger {
+func triggers(cks []scenario.CheckpointSpec, at vtime.Time) []coordinator.Trigger {
 	if len(cks) == 0 {
 		return []coordinator.Trigger{
 			{At: at},
@@ -241,70 +251,83 @@ func Triggers(cks []scenario.CheckpointSpec, at vtime.Time) []coordinator.Trigge
 	return trig
 }
 
-// Config compiles the job (through the cache) and translates it into a
-// coordinator configuration — field for field what cmd/manasim's
-// buildConfig produces for the same parameters, so a fleet run's report
-// is byte-identical to the standalone run's.
+// Config translates the job into a coordinator configuration, compiling
+// its spec through the cache. It is the only place the run-level
+// decisions are made:
+//   - faults: Job.Faults, else the spec's plan, else FailAfter as
+//     faultplan.Legacy — always delivered as cfg.Faults;
+//   - storage: Job.Storage, else the spec's block, else the direct
+//     default; a drain-hop fault needs a burst buffer to drain from;
+//   - islands: Job.Islands, else the spec's hint;
+//   - triggers: the spec's checkpoint policy (the classic three for a
+//     trace) anchored at CkptAt.
 func (e *Engine) Config(j Job) (coordinator.Config, error) {
-	if j.Spec == nil {
-		return coordinator.Config{}, fmt.Errorf("fleet: job has no spec")
-	}
-	progs, err := e.Programs(j.Spec, scenario.Params{Ranks: j.Ranks, Steps: j.Steps, Seed: j.Seed, Group: j.Group})
-	if err != nil {
-		return coordinator.Config{}, err
-	}
 	cfg := coordinator.BaseConfig()
-	cfg.Ranks = j.Ranks
+	spec := j.Spec
+	switch {
+	case spec != nil && len(j.Programs) > 0:
+		return coordinator.Config{}, fmt.Errorf("fleet: job sets both Spec and Programs")
+	case spec != nil:
+		progs, err := e.Programs(spec, scenario.Params{Ranks: j.Ranks, Steps: j.Steps, Seed: j.Seed, Group: j.Group})
+		if err != nil {
+			return coordinator.Config{}, err
+		}
+		cfg.Programs = progs
+	case len(j.Programs) > 0:
+		// A trace carries no checkpoint policy, plan, storage block or
+		// islands hint.
+		spec = &scenario.Spec{}
+		cfg.Programs = j.Programs
+	default:
+		return coordinator.Config{}, fmt.Errorf("fleet: job has neither Spec nor Programs")
+	}
+	cfg.Ranks = len(cfg.Programs)
 	cfg.Personality = j.Kernel
 	cfg.Virtid = j.Virtid
 	cfg.Seed = j.Seed
 	cfg.Incremental = j.Incremental
 	cfg.FullImageEvery = j.FullEvery
-	cfg.Programs = progs
-	cfg.Triggers = Triggers(j.Spec.Checkpoints, j.CkptAt)
-	cfg.FailAtCheckpoint = j.FailAfter
-	if j.FailDelay > 0 {
-		cfg.FailDelay = j.FailDelay
-	}
+	cfg.Triggers = triggers(spec.Checkpoints, j.CkptAt)
+
 	plan := j.Faults
 	if plan == nil {
-		plan = j.Spec.Faults
+		plan = spec.Faults
+	}
+	if plan == nil && j.FailAfter > 0 {
+		delay := j.FailDelay
+		if delay <= 0 {
+			delay = defaultFailDelay
+		}
+		legacy := faultplan.Legacy(j.FailAfter, delay)
+		plan = &legacy
 	}
 	if plan != nil {
-		faults, err := plan.Compile(j.Ranks)
+		faults, err := plan.Compile(cfg.Ranks)
 		if err != nil {
 			return coordinator.Config{}, err
 		}
 		cfg.Faults = faults
-		// A declarative plan owns failure injection outright; the
-		// legacy knob is suppressed rather than layered on top.
-		cfg.FailAtCheckpoint = 0
 		if plan.MaxRestarts > 0 {
 			cfg.MaxRestarts = plan.MaxRestarts
 		}
 	}
-	spec := j.Storage
-	if spec == nil {
-		spec = j.Spec.Storage
+
+	stSpec := j.Storage
+	if stSpec == nil {
+		stSpec = spec.Storage
 	}
-	if j.LegacyStraggler {
-		if spec != nil {
-			return coordinator.Config{}, fmt.Errorf("fleet: job sets LegacyStraggler alongside a storage spec; the legacy write model has no storage pipeline")
-		}
-		cfg.Storage.LegacyStraggler = true
-	} else {
-		st, err := storage.Compile(spec)
-		if err != nil {
-			return coordinator.Config{}, err
-		}
-		cfg.Storage = st
+	st, err := storage.Compile(stSpec)
+	if err != nil {
+		return coordinator.Config{}, err
 	}
-	if faultplan.AnyDrainHop(cfg.Faults) && !cfg.Storage.Staging {
-		return coordinator.Config{}, fmt.Errorf("fleet: fault plan anchors on \"image-write/drain\" but the job's storage has no burst buffer; drain faults need staging")
+	cfg.Storage = st
+	if faultplan.AnyDrainHop(cfg.Faults) && !st.Staging {
+		return coordinator.Config{}, fmt.Errorf("fleet: fault plan anchors on \"image-write/drain\" but storage declares no burst buffer (drain faults need -storage staged or a burst_buffer block)")
 	}
+
 	cfg.Islands = j.Islands
-	if cfg.Islands <= 0 && j.Spec.Islands > 0 {
-		cfg.Islands = j.Spec.Islands
+	if cfg.Islands <= 0 {
+		cfg.Islands = spec.Islands
 	}
 	cfg.Workers = j.Workers
 	return cfg, nil

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mana/internal/coordinator"
+	"mana/internal/faultplan"
 	"mana/internal/scenario"
 	"mana/internal/virtid"
 	"mana/internal/vtime"
@@ -52,7 +53,7 @@ func standalone(t *testing.T, name string, incremental bool) string {
 	cfg.Incremental = j.Incremental
 	cfg.FullImageEvery = j.FullEvery
 	cfg.Programs = progs
-	cfg.Triggers = Triggers(spec.Checkpoints, j.CkptAt)
+	cfg.Triggers = triggers(spec.Checkpoints, j.CkptAt)
 	cfg.FailAtCheckpoint = j.FailAfter
 	if spec.Islands > 0 {
 		cfg.Islands = spec.Islands
@@ -325,5 +326,91 @@ func TestSweepRejectsEmptyDimensions(t *testing.T) {
 		Incremental: []bool{false},
 	}); err == nil {
 		t.Error("RunSweep accepted an unknown spec")
+	}
+}
+
+// TestConfigFaultPrecedence pins the translator's one fault rule:
+// Job.Faults beats the spec's plan, which beats FailAfter, and every
+// source arrives as cfg.Faults — never as the deprecated
+// FailAtCheckpoint knob.
+func TestConfigFaultPrecedence(t *testing.T) {
+	faulty, err := scenario.Parse([]byte(`{
+		"name": "faulty",
+		"phases": [{"name": "main", "steps": 2, "ops": [{"op": "compute", "mean": "1ms"}]}],
+		"faults": {"faults": [{"at": "virtual-time", "time": "1us", "kind": "rank-crash"}]}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := scenario.Load("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobPlan := &faultplan.Plan{Faults: []faultplan.Spec{{At: "drain-start", N: 1, Kind: "rank-crash"}}}
+	cases := []struct {
+		name string
+		job  Job
+		want faultplan.Fault
+	}{
+		{"job plan over spec plan and FailAfter",
+			Job{Spec: faulty, Ranks: 4, FailAfter: 2, Faults: jobPlan},
+			faultplan.Fault{Anchor: faultplan.AtDrainStart, N: 1, Kind: faultplan.RankCrash}},
+		{"spec plan over FailAfter",
+			Job{Spec: faulty, Ranks: 4, FailAfter: 2},
+			faultplan.Fault{Anchor: faultplan.AtVirtualTime, Time: vtime.Time(time.Microsecond), Kind: faultplan.RankCrash}},
+		{"FailAfter as the legacy plan",
+			Job{Spec: plain, Ranks: 4, FailAfter: 2},
+			faultplan.Fault{Anchor: faultplan.AtCheckpointCommit, N: 2, Kind: faultplan.RankCrash, Delay: defaultFailDelay}},
+	}
+	e := NewEngine()
+	for _, tc := range cases {
+		cfg, err := e.Config(tc.job)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(cfg.Faults) != 1 || cfg.Faults[0] != tc.want {
+			t.Errorf("%s: cfg.Faults = %+v, want [%+v]", tc.name, cfg.Faults, tc.want)
+		}
+		if cfg.FailAtCheckpoint != 0 {
+			t.Errorf("%s: cfg.FailAtCheckpoint = %d, want 0", tc.name, cfg.FailAtCheckpoint)
+		}
+	}
+	cfg, err := e.Config(Job{Spec: plain, Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Faults != nil {
+		t.Errorf("fault-free job compiled faults %+v", cfg.Faults)
+	}
+}
+
+// TestConfigProgramsJob pins the trace source: a Job carrying Programs
+// runs them verbatim at len(Programs) ranks under the classic trigger
+// sequence, and a Job naming both sources (or neither) is refused.
+func TestConfigProgramsJob(t *testing.T) {
+	progs := scenario.MustPrograms("default", scenario.Params{Ranks: 4, Steps: 3, Seed: 42})
+	e := NewEngine()
+	cfg, err := e.Config(Job{Programs: progs, Ranks: 99, CkptAt: vtime.Time(time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Ranks != 4 || len(cfg.Programs) != 4 {
+		t.Errorf("cfg.Ranks = %d, want len(Programs) = 4", cfg.Ranks)
+	}
+	if len(cfg.Triggers) != 3 {
+		t.Errorf("trace job got %d triggers, want the classic 3", len(cfg.Triggers))
+	}
+	if e.Compiles() != 0 {
+		t.Errorf("trace job compiled %d specs, want 0", e.Compiles())
+	}
+	spec, err := scenario.Load("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Config(Job{Spec: spec, Programs: progs, Ranks: 4}); err == nil {
+		t.Error("Config accepted a job with both Spec and Programs")
+	}
+	if _, err := e.Config(Job{Ranks: 4}); err == nil {
+		t.Error("Config accepted a job with neither Spec nor Programs")
 	}
 }

@@ -17,7 +17,8 @@ import (
 // slices, each cell a full simulation. Base supplies every parameter
 // the grid does not vary (steps, seed, kernel, failure policy, islands,
 // workers-per-run); its Spec, Ranks, Virtid, Incremental and CkptAt
-// fields are ignored — the grid sets them per cell.
+// fields are ignored — the grid sets them per cell — and its Programs
+// must be nil, since every cell compiles from a spec.
 type Sweep struct {
 	// Specs are library names or JSON file paths, resolved through the
 	// engine's spec cache.
@@ -31,7 +32,7 @@ type Sweep struct {
 	Incremental []bool
 	// Storage values are built-in profile names or JSON file paths
 	// (storage.Load); empty runs one storage point per cell taken from
-	// Base (Base.Storage / Base.LegacyStraggler).
+	// Base.Storage.
 	Storage []string
 	Base    Job
 	// PoolWorkers bounds how many cells run concurrently
@@ -162,7 +163,6 @@ func (e *Engine) enumerate(s Sweep) ([]cellJob, error) {
 							j.Incremental = incr
 							if sname != "" {
 								j.Storage = storageSpecs[sname]
-								j.LegacyStraggler = false
 							}
 							cells = append(cells, cellJob{
 								cell: Cell{

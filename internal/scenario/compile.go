@@ -6,10 +6,17 @@ import (
 	"mana/internal/vtime"
 )
 
+// MaxRanks bounds every job's rank count — compiled (Params.Ranks) or
+// replayed (a trace header) — so malformed input is refused before it
+// sizes a per-rank allocation. It is the largest scale any test or
+// benchmark runs.
+const MaxRanks = 65536
+
 // Params sizes a compilation: everything about a run that is not part of
 // the workload's shape.
 type Params struct {
-	// Ranks is the number of ranks to compile programs for.
+	// Ranks is the number of ranks to compile programs for, in
+	// [1, MaxRanks].
 	Ranks int
 	// Steps is the iteration count for phases that do not pin their own.
 	Steps int
@@ -30,8 +37,8 @@ func (s *Spec) Compile(p Params) ([]Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if p.Ranks < 1 {
-		return nil, fmt.Errorf("scenario: compile %q: ranks must be at least 1 (got %d)", s.Name, p.Ranks)
+	if p.Ranks < 1 || p.Ranks > MaxRanks {
+		return nil, fmt.Errorf("scenario: compile %q: ranks must be in [1, %d] (got %d)", s.Name, MaxRanks, p.Ranks)
 	}
 	if p.Steps < 0 {
 		return nil, fmt.Errorf("scenario: compile %q: steps must be non-negative (got %d)", s.Name, p.Steps)

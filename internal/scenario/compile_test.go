@@ -3,6 +3,7 @@ package scenario
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -185,5 +186,19 @@ func TestMultiPhaseSpecs(t *testing.T) {
 	}
 	if last := prog[len(prog)-1]; last.Tag != 4 {
 		t.Errorf("last exchange tag = %d, want 4", last.Tag)
+	}
+}
+
+// TestCompileRejectsAboveMaxRanks pins the rank bound every compiled job
+// inherits: one rank past MaxRanks is refused by name, before any
+// per-rank program is allocated.
+func TestCompileRejectsAboveMaxRanks(t *testing.T) {
+	spec, err := Load("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = spec.Compile(Params{Ranks: MaxRanks + 1, Steps: 1, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "ranks") {
+		t.Fatalf("compile at MaxRanks+1: err = %v, want an error naming ranks", err)
 	}
 }

@@ -79,8 +79,8 @@ func ReadTrace(r io.Reader) ([]Program, error) {
 		return nil, fmt.Errorf("scenario: trace line 1: bad header %q (want %q)", header, traceHeaderPrefix+"N")
 	}
 	ranks, err := strconv.Atoi(strings.TrimPrefix(header, traceHeaderPrefix))
-	if err != nil || ranks < 1 {
-		return nil, fmt.Errorf("scenario: trace line 1: bad rank count in header %q", header)
+	if err != nil || ranks < 1 || ranks > MaxRanks {
+		return nil, fmt.Errorf("scenario: trace line 1: bad rank count in header %q (ranks must be in [1, %d])", header, MaxRanks)
 	}
 	progs := make([]Program, ranks)
 	for lineNo := 2; sc.Scan(); lineNo++ {

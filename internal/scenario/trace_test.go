@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,5 +96,19 @@ func TestTraceParseErrorsNameLine(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q, want substring %q", tc.label, err, tc.want)
 		}
+	}
+}
+
+// TestTraceHeaderRankBound pins the allocation guard: a header claiming
+// more than MaxRanks ranks is refused by name before ReadTrace sizes its
+// per-rank slice, and the bound itself is accepted.
+func TestTraceHeaderRankBound(t *testing.T) {
+	_, err := ReadTrace(strings.NewReader("manatrace v1 ranks=99999999999"))
+	if err == nil || !strings.Contains(err.Error(), "ranks") {
+		t.Fatalf("oversized header: err = %v, want an error naming ranks", err)
+	}
+	progs, err := ReadTrace(strings.NewReader(fmt.Sprintf("manatrace v1 ranks=%d\n", MaxRanks)))
+	if err != nil || len(progs) != MaxRanks {
+		t.Fatalf("header at MaxRanks: %d programs, err %v", len(progs), err)
 	}
 }

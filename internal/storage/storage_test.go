@@ -112,7 +112,7 @@ func TestCompileNilIsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile(nil): %v", err)
 	}
-	if cfg.PFSBandwidth != DefaultPFSBandwidth || cfg.Staging || cfg.Compression || cfg.LegacyStraggler {
+	if cfg.PFSBandwidth != DefaultPFSBandwidth || cfg.Staging || cfg.Compression {
 		t.Errorf("default config has unexpected shape: %+v", cfg)
 	}
 }

@@ -193,9 +193,9 @@ func (s Stopwatch) Elapsed() Duration {
 
 // RNG is a small deterministic pseudo-random number generator
 // (SplitMix64). It is used wherever the simulation needs variability —
-// straggler write times, per-run jitter — while remaining reproducible for
-// a given seed. math/rand would also work, but a self-contained generator
-// keeps the substrate free of global state and seed-ordering surprises.
+// per-op workload jitter — while remaining reproducible for a given
+// seed. math/rand would also work, but a self-contained generator keeps
+// the substrate free of global state and seed-ordering surprises.
 type RNG struct {
 	state uint64
 }
@@ -231,16 +231,4 @@ func (r *RNG) Intn(n int) int {
 // perturb modelled costs.
 func (r *RNG) Jitter(spread float64) float64 {
 	return 1 + spread*(2*r.Float64()-1)
-}
-
-// Straggler returns a multiplicative slowdown factor: with probability p
-// the factor is drawn uniformly from [1, maxFactor], otherwise it is 1.
-// This models the parallel-filesystem write stragglers reported in the
-// paper (§3.4: one rank's write can take up to 4x the time of 90% of the
-// other ranks).
-func (r *RNG) Straggler(p, maxFactor float64) float64 {
-	if r.Float64() >= p {
-		return 1
-	}
-	return 1 + (maxFactor-1)*r.Float64()
 }

@@ -162,23 +162,6 @@ func TestRNGJitterBounds(t *testing.T) {
 	}
 }
 
-func TestRNGStraggler(t *testing.T) {
-	r := NewRNG(13)
-	slow := 0
-	for i := 0; i < 10000; i++ {
-		f := r.Straggler(0.1, 4)
-		if f < 1 || f > 4 {
-			t.Fatalf("straggler factor out of bounds: %v", f)
-		}
-		if f > 1 {
-			slow++
-		}
-	}
-	if slow == 0 || slow > 2000 {
-		t.Errorf("straggler probability implausible: %d/10000 slow", slow)
-	}
-}
-
 // Property: AdvanceTo is monotone — applying any sequence of AdvanceTo calls
 // never decreases the clock.
 func TestPropertyClockMonotone(t *testing.T) {
