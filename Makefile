@@ -14,9 +14,11 @@ BENCHTIME ?= 1s
 # commit under each profile; max-write-ns records the staging win over
 # the contended PFS) and the compression pay-off sweep (CPU charged vs
 # bytes saved across per-byte costs), and the content-hash layer (page
-# hash MB/s; copy-free live fingerprint with one dirty page per op).
-BENCH_PATTERN ?= BenchmarkScheduler|BenchmarkVirtid|BenchmarkCheckpointCapture|BenchmarkSnapshotUpperHalf|BenchmarkOverlapDrain|BenchmarkFleetThroughput|BenchmarkRestartFallback|BenchmarkCheckpointCommit|BenchmarkCompressionPayoff|BenchmarkPageHash|BenchmarkFingerprintUpperHalf
-BENCH_PKGS ?= ./internal/coordinator ./internal/virtid ./internal/rank ./internal/memsim ./internal/fleet
+# hash MB/s; copy-free live fingerprint with one dirty page per op), and
+# the network layer (one checkpoint drain of a 256-rank all-to-all
+# network; one send plus its receive).
+BENCH_PATTERN ?= BenchmarkScheduler|BenchmarkVirtid|BenchmarkCheckpointCapture|BenchmarkSnapshotUpperHalf|BenchmarkOverlapDrain|BenchmarkFleetThroughput|BenchmarkRestartFallback|BenchmarkCheckpointCommit|BenchmarkCompressionPayoff|BenchmarkPageHash|BenchmarkFingerprintUpperHalf|BenchmarkNetsimDrain|BenchmarkNetsimSendRecv
+BENCH_PKGS ?= ./internal/coordinator ./internal/virtid ./internal/rank ./internal/memsim ./internal/fleet ./internal/netsim
 # MAX_REGRESS is bench-check's tolerated ns/op regression vs the
 # committed artifact (0.30 = 30%); CI loosens it because -benchtime=1x
 # timings are noise — only staleness and order-of-magnitude regressions

@@ -2050,19 +2050,3 @@ func (c *Coordinator) memorySummary() [2]uint64 {
 		r.Mem().BytesOf(memsim.LowerHalf),
 	}
 }
-
-// SortedPairs returns the network's counter pairs in deterministic order,
-// for report and test consumption.
-func SortedPairs(counters netsim.Counters) []netsim.Pair {
-	pairs := make([]netsim.Pair, 0, len(counters))
-	for p := range counters {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Src != pairs[j].Src {
-			return pairs[i].Src < pairs[j].Src
-		}
-		return pairs[i].Dst < pairs[j].Dst
-	})
-	return pairs
-}

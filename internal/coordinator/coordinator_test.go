@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mana/internal/kernelsim"
-	"mana/internal/netsim"
 	"mana/internal/scenario"
 	"mana/internal/virtid"
 	"mana/internal/vtime"
@@ -367,22 +366,6 @@ func TestConcurrentClockObserversRaceClean(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-}
-
-// TestSortedPairsDeterministic covers the report helper.
-func TestSortedPairsDeterministic(t *testing.T) {
-	counters := netsim.Counters{
-		{Src: 2, Dst: 0}: {Sent: 1},
-		{Src: 0, Dst: 1}: {Sent: 1},
-		{Src: 0, Dst: 0}: {Sent: 1},
-	}
-	pairs := SortedPairs(counters)
-	want := []netsim.Pair{{Src: 0, Dst: 0}, {Src: 0, Dst: 1}, {Src: 2, Dst: 0}}
-	for i := range want {
-		if pairs[i] != want[i] {
-			t.Fatalf("pairs[%d] = %+v, want %+v", i, pairs[i], want[i])
-		}
-	}
 }
 
 // TestKernelPersonalityAffectsOverheadNotResults verifies the two kernel

@@ -19,7 +19,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"mana/internal/vtime"
@@ -168,6 +168,10 @@ type Message struct {
 	// Arrive is the virtual time at which the message is visible to the
 	// receiver: send time + serialisation + latency.
 	Arrive vtime.Time
+
+	// next links the message to the one sent after it on the same pair
+	// while both are queued; a message leaves the network with next nil.
+	next *Message
 }
 
 // Pair identifies a directed rank pair.
@@ -219,31 +223,49 @@ type DeliveryScheduler interface {
 	ScheduleDelivery(m *Message)
 }
 
-// Network is the simulated interconnect: per-pair FIFO queues plus the
-// send/receive counters the drain protocol uses. It is safe for concurrent
-// use, though the deterministic scheduler drives it from one goroutine.
+// Network is the simulated interconnect: one inbox per destination rank,
+// holding that destination's per-source FIFO queues and the send/receive
+// counters the drain protocol uses. It is safe for concurrent use: the
+// deterministic scheduler drives it from one goroutine, the island
+// scheduler's window workers from several.
 type Network struct {
 	params Params
 
-	mu       sync.Mutex
-	nextSeq  uint64
-	queues   map[Pair][]*Message
-	counters Counters
-	// inflight counts sent-but-not-received messages, maintained
-	// incrementally so the scheduler's per-event trigger checks are O(1)
-	// instead of a scan over every pair.
+	mu      sync.Mutex
+	nextSeq uint64
+	// inboxes is indexed by destination rank and grows on the first send
+	// to a destination, so New allocates no per-rank state.
+	inboxes []inbox
+	// inflight and sent count sent-but-not-received and ever-sent
+	// messages, maintained incrementally so InFlight (consulted after
+	// every scheduler event) and TotalSent are O(1).
 	inflight uint64
+	sent     uint64
 
 	scheduler DeliveryScheduler
 }
 
+// inbox is everything the network holds for one destination: one slot
+// per source that has ever sent to it, sorted by source so a drain walks
+// them in the deterministic order without sorting.
+type inbox struct {
+	slots []slot
+	// queued is the number of messages in flight to this destination,
+	// so DrainTo and InFlightTo return at once when it is zero.
+	queued uint64
+}
+
+// slot is one directed pair's state: its FIFO queue, linked through the
+// messages themselves so queueing allocates nothing, and its counters.
+type slot struct {
+	src        int
+	head, tail *Message
+	count      PairCount
+}
+
 // New returns an empty network with the given parameters.
 func New(params Params) *Network {
-	return &Network{
-		params:   params,
-		queues:   make(map[Pair][]*Message),
-		counters: make(Counters),
-	}
+	return &Network{params: params}
 }
 
 // Params returns the cost-model parameters.
@@ -256,6 +278,67 @@ func (n *Network) SetDeliveryScheduler(s DeliveryScheduler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.scheduler = s
+}
+
+// inbox returns dst's inbox, or nil when dst lies beyond every
+// destination sent to so far. The caller holds n.mu.
+func (n *Network) inbox(dst int) *inbox {
+	if dst < 0 || dst >= len(n.inboxes) {
+		return nil
+	}
+	return &n.inboxes[dst]
+}
+
+// slotFor returns dst's inbox and the slot of pair src→dst, creating
+// both, the slot in source order, on the pair's first use. The caller
+// holds n.mu.
+func (n *Network) slotFor(src, dst int) (*inbox, *slot) {
+	if dst >= len(n.inboxes) {
+		n.inboxes = append(n.inboxes, make([]inbox, dst+1-len(n.inboxes))...)
+	}
+	b := &n.inboxes[dst]
+	i, ok := b.search(src)
+	if !ok {
+		b.slots = slices.Insert(b.slots, i, slot{src: src})
+	}
+	return b, &b.slots[i]
+}
+
+// search returns the index of src's slot, or where it would be inserted.
+// It runs on every Send and Recv; written out, it is ~1.5x faster per
+// message than slices.BinarySearchFunc, which copies each probed slot
+// into its comparison function.
+func (b *inbox) search(src int) (int, bool) {
+	lo, hi := 0, len(b.slots)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.slots[mid].src < src {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(b.slots) && b.slots[lo].src == src
+}
+
+// push appends m to the pair's queue.
+func (s *slot) push(m *Message) {
+	if s.tail == nil {
+		s.head = m
+	} else {
+		s.tail.next = m
+	}
+	s.tail = m
+}
+
+// pop unlinks and returns the pair's oldest queued message.
+func (s *slot) pop() *Message {
+	m := s.head
+	s.head, m.next = m.next, nil
+	if s.head == nil {
+		s.tail = nil
+	}
+	return m
 }
 
 // Send injects a message and returns it together with the duration the
@@ -274,12 +357,12 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 		Sent:   sent,
 		Arrive: sent.When.Add(busy + n.params.WireLatency(src, dst)),
 	}
-	p := Pair{Src: src, Dst: dst}
-	n.queues[p] = append(n.queues[p], m)
-	pc := n.counters[p]
-	pc.Sent++
-	n.counters[p] = pc
+	b, s := n.slotFor(src, dst)
+	s.push(m)
+	s.count.Sent++
+	b.queued++
 	n.inflight++
+	n.sent++
 	scheduler := n.scheduler
 	n.mu.Unlock()
 	// The delivery event is scheduled outside the lock: the scheduler
@@ -305,16 +388,21 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	p := Pair{Src: src, Dst: dst}
-	q := n.queues[p]
-	if len(q) == 0 || q[0].Arrive > by {
+	b := n.inbox(dst)
+	if b == nil || b.queued == 0 {
 		return nil
 	}
-	m := q[0]
-	n.queues[p] = q[1:]
-	pc := n.counters[p]
-	pc.Received++
-	n.counters[p] = pc
+	i, ok := b.search(src)
+	if !ok {
+		return nil
+	}
+	s := &b.slots[i]
+	if s.head == nil || s.head.Arrive > by {
+		return nil
+	}
+	m := s.pop()
+	s.count.Received++
+	b.queued--
 	n.inflight--
 	return m
 }
@@ -322,27 +410,26 @@ func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
 // DrainTo pops every in-flight message destined for dst, in deterministic
 // order (by source rank, then send sequence), marking each as received.
 // The coordinator calls this during the drain phase so the messages can be
-// buffered into the receiving rank's checkpoint image.
+// buffered into the receiving rank's checkpoint image. Its cost is the
+// destination's peer count plus the messages drained, and nothing at all
+// when no message is in flight to dst.
 func (n *Network) DrainTo(dst int) []*Message {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var pairs []Pair
-	for p, q := range n.queues {
-		if p.Dst == dst && len(q) > 0 {
-			pairs = append(pairs, p)
+	b := n.inbox(dst)
+	if b == nil || b.queued == 0 {
+		return nil
+	}
+	out := make([]*Message, 0, b.queued)
+	for i := range b.slots {
+		s := &b.slots[i]
+		for s.head != nil {
+			out = append(out, s.pop())
+			s.count.Received++
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Src < pairs[j].Src })
-	var out []*Message
-	for _, p := range pairs {
-		q := n.queues[p]
-		out = append(out, q...)
-		pc := n.counters[p]
-		pc.Received += uint64(len(q))
-		n.counters[p] = pc
-		n.inflight -= uint64(len(q))
-		delete(n.queues, p)
-	}
+	n.inflight -= b.queued
+	b.queued = 0
 	return out
 }
 
@@ -359,13 +446,10 @@ func (n *Network) InFlight() uint64 {
 func (n *Network) InFlightTo(dst int) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var total uint64
-	for p, q := range n.queues {
-		if p.Dst == dst {
-			total += uint64(len(q))
-		}
+	if b := n.inbox(dst); b != nil {
+		return b.queued
 	}
-	return total
+	return 0
 }
 
 // PeersTo returns the number of source ranks that have ever sent to dst.
@@ -374,20 +458,28 @@ func (n *Network) InFlightTo(dst int) uint64 {
 func (n *Network) PeersTo(dst int) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	peers := 0
-	for p := range n.counters {
-		if p.Dst == dst {
-			peers++
-		}
+	if b := n.inbox(dst); b != nil {
+		return len(b.slots)
 	}
-	return peers
+	return 0
 }
 
 // CountersSnapshot returns a deep copy of the per-pair counters.
 func (n *Network) CountersSnapshot() Counters {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.counters.Clone()
+	pairs := 0
+	for i := range n.inboxes {
+		pairs += len(n.inboxes[i].slots)
+	}
+	c := make(Counters, pairs)
+	for dst := range n.inboxes {
+		b := &n.inboxes[dst]
+		for _, s := range b.slots {
+			c[Pair{Src: s.src, Dst: dst}] = s.count
+		}
+	}
+	return c
 }
 
 // Restore resets the network to a checkpointed state: all queues are
@@ -396,22 +488,19 @@ func (n *Network) CountersSnapshot() Counters {
 func (n *Network) Restore(c Counters) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.queues = make(map[Pair][]*Message)
-	n.counters = c.Clone()
-	// The queues are the ground truth for deliverable messages, and they
-	// have just been discarded (a correct checkpoint drains to zero).
-	n.inflight = 0
+	n.inboxes, n.inflight, n.sent = nil, 0, 0
+	for p, pc := range c {
+		_, s := n.slotFor(p.Src, p.Dst)
+		s.count = pc
+		n.sent += pc.Sent
+	}
 }
 
 // TotalSent returns the total number of messages ever sent.
 func (n *Network) TotalSent() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var total uint64
-	for _, pc := range n.counters {
-		total += pc.Sent
-	}
-	return total
+	return n.sent
 }
 
 // String summarises the network state for debugging.

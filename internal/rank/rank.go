@@ -29,6 +29,7 @@ package rank
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"mana/internal/kernelsim"
 	"mana/internal/memsim"
@@ -577,7 +578,9 @@ func (r *Rank) DoWait() {
 func (r *Rank) TryRecv(net *netsim.Network, op scenario.Op, by vtime.Time) bool {
 	for i, m := range r.inbox {
 		if m.Src == op.Peer {
-			r.inbox = append(r.inbox[:i:i], r.inbox[i+1:]...)
+			// In place: CaptureImage and Restore copy the inbox, so no
+			// image shares this backing array.
+			r.inbox = slices.Delete(r.inbox, i, i+1)
 			r.completeRecv(m)
 			return true
 		}

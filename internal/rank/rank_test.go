@@ -518,3 +518,33 @@ func TestCommSplitMintsSlotAndSurvivesImage(t *testing.T) {
 		t.Errorf("restored live comm handles = %d, want 2", got)
 	}
 }
+
+// TestDrainedRecvAllocatesNothing pins that consuming a drain-buffered
+// message removes it from the inbox in place: a drained receive, here
+// from behind messages of another peer, allocates nothing.
+func TestDrainedRecvAllocatesNothing(t *testing.T) {
+	const recvs = 200
+	script := make([]scenario.Op, recvs)
+	for i := range script {
+		script[i] = scenario.Op{Kind: scenario.OpRecv, Peer: 0}
+	}
+	r := New(1, kernelsim.Patched, virtid.ImplSharded, script)
+	net := testNet()
+	for _, src := range []int{2, 2} {
+		r.BufferDrained(&netsim.Message{Src: src, Dst: 1, Bytes: 8})
+	}
+	for i := 0; i < recvs; i++ {
+		r.BufferDrained(&netsim.Message{Src: 0, Dst: 1, Bytes: 8})
+	}
+	allocs := testing.AllocsPerRun(recvs/2, func() {
+		if !r.TryRecv(net, r.Op(), r.Clock().Now()) {
+			t.Fatal("TryRecv missed a drain-buffered message")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("drained receive allocates %.1f times, want 0", allocs)
+	}
+	if got, want := r.InboxLen(), recvs+2-(recvs/2+1); got != want {
+		t.Errorf("inbox = %d messages, want %d", got, want)
+	}
+}
