@@ -6,7 +6,7 @@ GO ?= go
 # to 1x so the benchmarks smoke-run on every push without burning minutes.
 BENCHTIME ?= 1s
 # BENCH_PATTERN/BENCH_PKGS select the benchmarks the BENCH_sched.json
-# artifact records: scheduler scaling, virtid contention, checkpoint
+# artifact records: scheduler scaling, virtid lookup and churn, checkpoint
 # capture (full vs incremental image bytes), the collective drain
 # planner (overlapping vs serialised collectives) and fleet throughput
 # (complete simulations per second; its runs/sec metric gates
@@ -77,8 +77,8 @@ bench-sched:
 bench-fleet:
 	$(GO) test -bench='BenchmarkFleetThroughput' -benchmem -run=^$$ ./internal/fleet
 
-# bench-virtid runs the handle-virtualisation contention benchmarks:
-# MutexTable vs ShardedTable at 1/4/16 goroutines, plus request churn.
+# bench-virtid runs the handle-table benchmarks: a lookup among 2048 live
+# requests, and one request's register, lookup and retirement.
 bench-virtid:
 	$(GO) test -bench='BenchmarkVirtid' -benchmem -run=^$$ ./internal/virtid
 
@@ -114,7 +114,7 @@ smoke:
 	cmp /tmp/manasim-run1.txt /tmp/manasim-run2.txt
 
 # smoke-matrix mirrors CI's determinism matrix: every combination of
-# handle-table implementation, image mode and library scenario spec runs
+# handle-table design, image mode and library scenario spec runs
 # twice at 512 ranks and must print byte-identical reports — and once
 # more with the sharded parallel scheduler (-islands 8 -workers 4),
 # which must reproduce the serial report byte for byte.

@@ -1,6 +1,6 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON document on stdout, so benchmark trajectories
-// (scheduler event loop, virtid lookup contention) can be tracked from
+// (scheduler event loop, checkpoint drain, ...) can be tracked from
 // one artifact — BENCH_sched.json, written by `make bench-json` — from
 // this PR onward instead of being scraped out of CI logs.
 //
@@ -47,7 +47,7 @@ import (
 // Result is one benchmark line, decoded.
 type Result struct {
 	// Name is the benchmark name with the trailing -GOMAXPROCS suffix
-	// stripped (BenchmarkVirtidLookupSharded/goroutines=16).
+	// stripped (BenchmarkNetsimDrain/all-pairs).
 	Name string `json:"name"`
 	// Iterations is the b.N the reported per-op figures were averaged
 	// over.

@@ -33,7 +33,6 @@ import (
 // concurrent runs. Nothing mutable belongs here — only vars that are
 // written once before main starts and read-only forever after.
 var allowed = map[string]string{
-	"virtid.emptyLUT":                       "immutable empty lookup table, shared read-only sentinel",
 	"scenario.libraryFS":                    "embed.FS of the spec library, read-only by construction",
 	"memsim.kindNames":                      "region-kind name table, initialised once and only read",
 	"coordinator.ErrRestartFault":           "errors.New sentinel, written once at init and only compared",

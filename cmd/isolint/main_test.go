@@ -62,9 +62,9 @@ var testOnly = map[string]bool{}
 // reported stale by report().
 func TestScanHonoursAllowlist(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"virtid/lut.go": `package virtid
+		"memsim/kind.go": `package memsim
 
-var emptyLUT = 1
+var kindNames = 1
 `,
 	})
 	findings, matched, err := scan(root)
@@ -74,11 +74,11 @@ var emptyLUT = 1
 	if len(findings) != 0 {
 		t.Errorf("allowlisted var flagged: %v", findings)
 	}
-	if !matched["virtid.emptyLUT"] {
+	if !matched["memsim.kindNames"] {
 		t.Error("allowlist match not recorded")
 	}
-	// Only one of the three allowlist entries matched, so report must
-	// call the tree dirty on staleness grounds.
+	// Only one allowlist entry matched, so report must call the tree
+	// dirty on staleness grounds.
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

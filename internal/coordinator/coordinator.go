@@ -102,9 +102,9 @@ type Config struct {
 	Ranks int
 	// Personality selects the kernel cost model for every node.
 	Personality kernelsim.Personality
-	// Virtid selects the handle-virtualisation table implementation every
-	// rank uses on its per-call hot path (and thereby the calibrated
-	// per-lookup cost the kernel model charges).
+	// Virtid selects the handle-virtualisation table design whose
+	// calibrated lookup and write costs the kernel model charges on every
+	// rank's per-call hot path.
 	Virtid virtid.Impl
 	// Net is the interconnect cost model.
 	Net netsim.Params
@@ -1556,7 +1556,8 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	for i, r := range c.ranks {
 		images[i] = c.captureStage(r, incremental, rec.Seq)
 	}
-	crashed = c.applyImageFaults(images, &rec)
+	rec.TornImages, rec.CorruptPages = c.applyImageFaults(faultplan.HopStage, rec.Seq, images)
+	crashed = rec.TornImages > 0
 	for i, r := range c.ranks {
 		c.compressStage(r, &images[i], &rec)
 	}
@@ -1573,7 +1574,8 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	// the fingerprint digested the clean staged payload; the drains are
 	// then queued on the contended PFS and their completions scheduled
 	// as global-lane events.
-	c.applyDrainFaults(&rec)
+	g := c.gens[len(c.gens)-1]
+	rec.DrainTornImages, rec.DrainCorruptPages = c.applyImageFaults(faultplan.HopDrain, rec.Seq, g.links[len(g.links)-1].images)
 	c.scheduleDrains(&rec)
 	c.records = append(c.records, rec)
 
@@ -1591,16 +1593,25 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	return crashed, nil
 }
 
-// applyImageFaults fires the image-write faults anchored to this
-// checkpoint: a torn-write truncates the target rank's image at a
-// byte-accurate partial size and kills the job at the commit point
-// (crashed=true), a page-corruption silently damages the payload — the
-// capture-time hash memos go stale, which is exactly what restart
-// verification later trips over. Full-image corruption deep-copies the
-// touched regions first (snapshot payloads alias live sealed slices).
-func (c *Coordinator) applyImageFaults(images []rank.Image, rec *CheckpointRecord) (crashed bool) {
+// applyImageFaults fires the image-write faults qualified to one
+// checkpoint I/O hop of checkpoint seq against images, and reports how
+// many images they tore and how many pages they corrupted. A torn-write
+// truncates the target rank's image at a byte-accurate partial size; a
+// page-corruption silently damages the payload — the capture-time hash
+// memos go stale, which is exactly what restart verification later
+// trips over. Full-image corruption deep-copies the touched regions
+// first (snapshot payloads alias live sealed slices).
+//
+// On the stage hop the damage lands on the freshly captured images and
+// a torn write kills the job at the commit point. On the drain hop it
+// lands on the committed link's images — the durable copy — after the
+// commit fingerprinted the clean staged payload: the job does not crash
+// (the drain is asynchronous; nothing observes the damage at commit
+// time), and a torn or corrupted durable copy surfaces only when a
+// later restart's verification walk rehashes the link.
+func (c *Coordinator) applyImageFaults(hop faultplan.Hop, seq int, images []rank.Image) (torn, corrupt int) {
 	for i, f := range c.faults {
-		if c.faultFired[i] || f.Anchor != faultplan.AtImageWrite || f.Hop != faultplan.HopStage || f.N != rec.Seq {
+		if c.faultFired[i] || f.Anchor != faultplan.AtImageWrite || f.Hop != hop || f.N != seq {
 			continue
 		}
 		c.faultFired[i] = true
@@ -1618,57 +1629,16 @@ func (c *Coordinator) applyImageFaults(images []rank.Image, rec *CheckpointRecor
 			img.Complete = false
 			img.WrittenBytes = written
 			img.StoredBytes = written
-			rec.TornImages++
-			crashed = true
+			torn++
 		case faultplan.PageCorruption:
 			if img.Full {
-				rec.CorruptPages += memsim.CorruptSnapshot(&img.Mem, f.Pages)
+				corrupt += memsim.CorruptSnapshot(&img.Mem, f.Pages)
 			} else {
-				rec.CorruptPages += memsim.CorruptDelta(&img.Delta, f.Pages)
+				corrupt += memsim.CorruptDelta(&img.Delta, f.Pages)
 			}
 		}
 	}
-	return crashed
-}
-
-// applyDrainFaults fires the image-write faults qualified to the
-// buffer→PFS drain hop for the just-committed checkpoint. The damage
-// lands on the committed link's images — the durable copy — after the
-// commit fingerprinted the clean staged payload: the job does not crash
-// (the drain is asynchronous; nothing observes the damage at commit
-// time), and a torn or corrupted durable copy surfaces only when a
-// later restart's verification walk rehashes the link.
-func (c *Coordinator) applyDrainFaults(rec *CheckpointRecord) {
-	g := c.gens[len(c.gens)-1]
-	link := &g.links[len(g.links)-1]
-	for i, f := range c.faults {
-		if c.faultFired[i] || f.Anchor != faultplan.AtImageWrite || f.Hop != faultplan.HopDrain || f.N != rec.Seq {
-			continue
-		}
-		c.faultFired[i] = true
-		img := &link.images[f.Rank]
-		switch f.Kind {
-		case faultplan.TornWrite:
-			total := img.Bytes()
-			written := total / 2
-			if f.Pages > 0 {
-				written = uint64(f.Pages) * memsim.PageSize
-			}
-			if written > total {
-				written = total
-			}
-			img.Complete = false
-			img.WrittenBytes = written
-			img.StoredBytes = written
-			rec.DrainTornImages++
-		case faultplan.PageCorruption:
-			if img.Full {
-				rec.DrainCorruptPages += memsim.CorruptSnapshot(&img.Mem, f.Pages)
-			} else {
-				rec.DrainCorruptPages += memsim.CorruptDelta(&img.Delta, f.Pages)
-			}
-		}
-	}
+	return torn, corrupt
 }
 
 // ErrRestartFault and ErrNoVerifiableGeneration are the named failures of

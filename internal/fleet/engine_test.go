@@ -140,11 +140,23 @@ func TestFleetConcurrentByteIdentical(t *testing.T) {
 	}
 }
 
+// raceEnabled reports a -race build (set by race_test.go).
+var raceEnabled bool
+
 // TestFleetWarmPoolAllocsLess pins the perf claim behind the pooling: a
 // warm run on a used engine must allocate measurably less than the cold
 // first run — the recycled queues, slices, rendezvous instances and
 // memsim buffers are real savings, not noise.
+//
+// The race detector makes sync.Pool drop a random quarter of its Puts,
+// and the collections other tests trigger empty it besides, so under
+// -race a "warm" run may find no scratch at all and the ratio measures
+// the pool's luck rather than the reuse. The bound is checked in the
+// normal build only.
 func TestFleetWarmPoolAllocsLess(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards Puts at random under the race detector")
+	}
 	spec, err := scenario.Load("default")
 	if err != nil {
 		t.Fatal(err)

@@ -12,12 +12,12 @@
 //     few nanoseconds.
 //  2. Handle virtualisation: a table lookup plus locking for every MPI
 //     call that passes a communicator, datatype or request handle. The
-//     virtual-to-real translation table itself lives in internal/virtid
-//     (two implementations: the MutexTable baseline and the sharded
-//     lock-free-read optimisation), along with the calibrated per-lookup
-//     cost constants; the Kernel is constructed with the cost of the
-//     selected implementation and charges it per translated handle in
-//     MANAPerCallOverhead.
+//     virtual-to-real translation table lives in internal/virtid, along
+//     with the calibrated costs of the two table designs a job can
+//     select (MANA's mutex-guarded baseline and a lock-free sharded
+//     table); the Kernel is constructed with the selected design's costs
+//     and charges them per translated handle in MANAPerCallOverhead and
+//     per handle write in HandleWriteCost.
 //
 // The package also models sbrk() semantics for the simulated address space:
 // after restart the kernel would extend the *lower-half* data segment on
@@ -101,22 +101,16 @@ const (
 type Kernel struct {
 	personality Personality
 	// lookupCost and writeCost are the per-operation virtualisation
-	// costs of the selected virtid table implementation: one lookup per
+	// costs of the selected virtid table design: one lookup per
 	// translated handle, one write per Register/Deregister.
 	lookupCost vtime.Duration
 	writeCost  vtime.Duration
 }
 
 // New returns a kernel model with the given personality, charging the
-// baseline (MutexTable) virtualisation figures.
-func New(p Personality) *Kernel {
-	return NewForTable(p, virtid.ImplMutex)
-}
-
-// NewForTable returns a kernel model calibrated for the given virtid
-// table implementation — the rank runtime passes whichever one the job
-// selected.
-func NewForTable(p Personality, impl virtid.Impl) *Kernel {
+// virtualisation costs of the given virtid table design — the rank
+// runtime passes whichever one the job selected.
+func New(p Personality, impl virtid.Impl) *Kernel {
 	return &Kernel{personality: p, lookupCost: impl.LookupCost(), writeCost: impl.WriteCost()}
 }
 
@@ -141,7 +135,7 @@ func (k *Kernel) RoundTripSwitchCost() vtime.Duration {
 }
 
 // VirtualizationLookupCost returns the cost of translating one opaque MPI
-// handle through the virtualisation table the kernel was calibrated for.
+// handle through the table design the kernel was calibrated for.
 func (k *Kernel) VirtualizationLookupCost() vtime.Duration {
 	return k.lookupCost
 }

@@ -20,8 +20,8 @@ func TestPersonalityString(t *testing.T) {
 }
 
 func TestFSSwitchCostPatchedMuchCheaper(t *testing.T) {
-	u := New(Unpatched)
-	p := New(Patched)
+	u := New(Unpatched, virtid.ImplMutex)
+	p := New(Patched, virtid.ImplMutex)
 	if u.FSSwitchCost() <= p.FSSwitchCost() {
 		t.Fatalf("unpatched FS switch (%v) should cost more than patched (%v)",
 			u.FSSwitchCost(), p.FSSwitchCost())
@@ -37,7 +37,7 @@ func TestFSSwitchCostPatchedMuchCheaper(t *testing.T) {
 
 func TestRoundTripIsTwoSwitches(t *testing.T) {
 	for _, pers := range []Personality{Unpatched, Patched} {
-		k := New(pers)
+		k := New(pers, virtid.ImplMutex)
 		if k.RoundTripSwitchCost() != 2*k.FSSwitchCost() {
 			t.Errorf("%v: round trip %v != 2 * switch %v", pers, k.RoundTripSwitchCost(), k.FSSwitchCost())
 		}
@@ -45,13 +45,13 @@ func TestRoundTripIsTwoSwitches(t *testing.T) {
 }
 
 func TestPersonalityAccessor(t *testing.T) {
-	if New(Patched).Personality() != Patched {
+	if New(Patched, virtid.ImplMutex).Personality() != Patched {
 		t.Errorf("Personality() did not round-trip")
 	}
 }
 
 func TestMANAPerCallOverheadComposition(t *testing.T) {
-	k := New(Unpatched)
+	k := New(Unpatched, virtid.ImplMutex)
 	base := k.MANAPerCallOverhead(virtid.LookupCounts{}, false)
 	if base != k.RoundTripSwitchCost() {
 		t.Errorf("no-handle overhead %v != round trip %v", base, k.RoundTripSwitchCost())
@@ -69,7 +69,7 @@ func TestMANAPerCallOverheadComposition(t *testing.T) {
 }
 
 func TestOverheadMonotoneInHandles(t *testing.T) {
-	k := New(Patched)
+	k := New(Patched, virtid.ImplMutex)
 	prev := vtime.Duration(-1)
 	for n := uint64(0); n < 10; n++ {
 		d := k.MANAPerCallOverhead(virtid.LookupCounts{Request: n}, false)
@@ -81,14 +81,20 @@ func TestOverheadMonotoneInHandles(t *testing.T) {
 }
 
 // TestLookupCostTracksVirtidImpl pins the wiring between the selected
-// table implementation and the per-call charge: a kernel calibrated for
-// the sharded table charges cheaper MPI calls than the mutex baseline.
+// table design and the per-call charge: a kernel calibrated for the
+// sharded design charges cheaper MPI calls than the mutex baseline.
 func TestLookupCostTracksVirtidImpl(t *testing.T) {
-	if New(Unpatched).VirtualizationLookupCost() != virtid.MutexLookupCost {
-		t.Error("New must default to the MutexTable baseline figure")
+	mutex := New(Unpatched, virtid.ImplMutex)
+	sharded := New(Unpatched, virtid.ImplSharded)
+	for _, k := range []struct {
+		kernel        *Kernel
+		lookup, write vtime.Duration
+	}{{mutex, virtid.MutexLookupCost, virtid.MutexWriteCost}, {sharded, virtid.ShardedLookupCost, virtid.ShardedWriteCost}} {
+		if k.kernel.VirtualizationLookupCost() != k.lookup || k.kernel.HandleWriteCost() != k.write {
+			t.Errorf("kernel charges (%v, %v) per lookup and write, want (%v, %v)",
+				k.kernel.VirtualizationLookupCost(), k.kernel.HandleWriteCost(), k.lookup, k.write)
+		}
 	}
-	mutex := NewForTable(Unpatched, virtid.ImplMutex)
-	sharded := NewForTable(Unpatched, virtid.ImplSharded)
 	calls := virtid.LookupCounts{Comm: 1, Datatype: 1, Request: 1}
 	if m, s := mutex.MANAPerCallOverhead(calls, true), sharded.MANAPerCallOverhead(calls, true); s >= m {
 		t.Errorf("sharded per-call overhead %v should be below mutex %v", s, m)
@@ -101,7 +107,7 @@ func TestLookupCostTracksVirtidImpl(t *testing.T) {
 }
 
 func TestAuxiliaryCostsPositive(t *testing.T) {
-	k := New(Unpatched)
+	k := New(Unpatched, virtid.ImplMutex)
 	if k.VirtualizationLookupCost() <= 0 || k.RecordMetadataCost() <= 0 || k.SyscallCost() <= 0 {
 		t.Errorf("auxiliary costs must be positive")
 	}

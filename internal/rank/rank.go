@@ -206,24 +206,17 @@ type Rank struct {
 	pc     int
 	state  State
 
-	// vt is the handle-virtualisation table (paper §3.3); vimpl records
-	// which implementation the job selected so restart can rebuild the
-	// same one. comms holds the virtual communicator handle per slot
-	// (slot 0 = MPI_COMM_WORLD, later slots minted by comm-splits in
-	// execution order) with commIDs carrying the coordinator's global
-	// communicator id for each slot; dtype is the datatype handle
-	// registered at init. Every MPI call translates its handles through
-	// the table.
+	// vt is the handle-virtualisation table (paper §3.3). comms holds
+	// the virtual communicator handle per slot (slot 0 = MPI_COMM_WORLD,
+	// later slots minted by comm-splits in execution order) with commIDs
+	// carrying the coordinator's global communicator id for each slot;
+	// dtype is the datatype handle registered at init. Every MPI call
+	// translates its handles through the table. pending is the FIFO of
+	// not-yet-waited request handles (part of the checkpoint image).
 	vt      virtid.Table
-	vimpl   virtid.Impl
 	comms   []virtid.VID
 	commIDs []int
 	dtype   virtid.VID
-	// reqSeq numbers posted requests; it mirrors the table's request
-	// allocation counter and is restored from the image's virtid snapshot
-	// so replayed posts mint identical real handles. pending is the FIFO
-	// of not-yet-waited request handles (part of the checkpoint image).
-	reqSeq  uint64
 	pending []virtid.VID
 
 	// inbox holds messages that the checkpoint drain phase buffered at
@@ -271,11 +264,12 @@ const (
 )
 
 // New returns a rank with an initialised split-process address space,
-// the selected handle-virtualisation table and the given program — the
-// rank's complete op stream, from a compiled scenario spec, a recorded
-// trace, or built directly by a test. The upper half models the
-// application, its libc and its link-time MPI library; the lower half
-// models the bootstrap program and the active network stack. The world
+// a kernel model charging the selected table design's handle costs and
+// the given program — the rank's complete op stream, from a compiled
+// scenario spec, a recorded trace, or built directly by a test. The
+// upper half models the application, its libc and its link-time MPI
+// library; the lower half models the bootstrap program and the active
+// network stack. The world
 // communicator and the workload's datatype are registered in the
 // virtualisation table exactly as MANA wraps MPI_Init: the application
 // only ever sees their virtual ids.
@@ -294,10 +288,8 @@ func NewPooled(id int, personality kernelsim.Personality, impl virtid.Impl, scri
 		clock:  vtime.NewClock(0),
 		mem:    memsim.NewAddressSpacePooled(pool),
 		pool:   pool,
-		kernel: kernelsim.NewForTable(personality, impl),
+		kernel: kernelsim.New(personality, impl),
 		script: script,
-		vt:     virtid.New(impl),
-		vimpl:  impl,
 	}
 	r.comms = []virtid.VID{r.vt.Register(virtid.Comm, realCommWorld)}
 	r.commIDs = []int{0}
@@ -352,10 +344,7 @@ func (r *Rank) Kernel() *kernelsim.Kernel { return r.kernel }
 
 // Virtid returns the rank's handle-virtualisation table. Tests use it to
 // inspect table state and to stage dead-timeline handles.
-func (r *Rank) Virtid() virtid.Table { return r.vt }
-
-// VirtidImpl returns the table implementation the rank was built with.
-func (r *Rank) VirtidImpl() virtid.Impl { return r.vimpl }
+func (r *Rank) Virtid() *virtid.Table { return &r.vt }
 
 // CommCount returns the number of communicator slots the rank holds
 // (1 for a rank that has performed no comm-splits: MPI_COMM_WORLD).
@@ -444,18 +433,11 @@ func (r *Rank) translate(k virtid.Kind, v virtid.VID) virtid.Real {
 
 // postRequest registers the request handle a nonblocking operation
 // allocates at post time. The simulated real handle is a deterministic
-// function of the request sequence number so that restart replay
-// re-creates bit-identical mappings.
+// function of the virtual id — whose allocation counter the image's
+// table snapshot carries — so that restart replay re-creates
+// bit-identical mappings.
 func (r *Rank) postRequest() virtid.VID {
-	r.reqSeq++
-	v := r.vt.Register(virtid.Request, realRequestBase+virtid.Real(r.reqSeq))
-	if v != virtid.VID(r.reqSeq) {
-		// reqSeq mirrors the table's request allocation counter; any path
-		// registering requests outside postRequest would silently break the
-		// deterministic real-handle mapping replay depends on.
-		panic(fmt.Sprintf("rank %d: request seq %d desynchronised from table vid %d", r.id, r.reqSeq, v))
-	}
-	return v
+	return r.vt.Register(virtid.Request, realRequestBase+virtid.Real(r.vt.NextVID(virtid.Request)))
 }
 
 // completeRequest models the wait half: the request handle is translated
@@ -471,8 +453,8 @@ func (r *Rank) completeRequest(v virtid.VID) {
 // chargeMPICall advances the clock by MANA's per-call overhead and
 // records it: the FS-register round trip, the per-kind virtualisation
 // lookups the call performed, any table writes (request registration and
-// retirement on the nonblocking paths, priced by the selected
-// implementation's write cost), and one metadata record when the call
+// retirement on the nonblocking paths, priced by the selected table
+// design's write cost), and one metadata record when the call
 // has drain-relevant effects (§3.3).
 func (r *Rank) chargeMPICall(lookups virtid.LookupCounts, writes uint64, recorded bool) {
 	d := r.kernel.MANAPerCallOverhead(lookups, recorded)
@@ -748,7 +730,7 @@ func (r *Rank) FinishCollective(completion vtime.Time) {
 // sub-communicator — global id commID, live lower-half handle real — is
 // registered in the virtualisation table and appended to the rank's slot
 // table. The registration is a table write charged at the selected
-// implementation's write cost; because the allocation counters are part
+// table design's write cost; because the allocation counters are part
 // of the checkpoint image, a replayed split after restart re-mints a
 // bit-identical virtual handle.
 func (r *Rank) FinishCommSplit(completion vtime.Time, commID int, real virtid.Real) {
@@ -910,9 +892,7 @@ func (r *Rank) Restore(img Image) {
 	// at checkpoint time resolve again, ids minted in the abandoned
 	// timeline do not, and the restored allocation counters make replayed
 	// registrations bit-identical.
-	r.vt = virtid.New(r.vimpl)
 	r.vt.Restore(img.Virt)
-	r.reqSeq = img.Virt.Next[virtid.Request]
 	r.pending = make([]virtid.VID, len(img.PendingReqs))
 	copy(r.pending, img.PendingReqs)
 	r.comms = make([]virtid.VID, len(img.Comms))

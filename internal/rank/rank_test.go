@@ -18,7 +18,7 @@ func testNet() *netsim.Network {
 func TestMPICallChargesManaOverhead(t *testing.T) {
 	script := []scenario.Op{{Kind: scenario.OpSend, Peer: 1, Bytes: 0, Tag: 0}}
 	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, script)
-	k := kernelsim.NewForTable(kernelsim.Unpatched, virtid.ImplSharded)
+	k := kernelsim.New(kernelsim.Unpatched, virtid.ImplSharded)
 	r.DoSend(testNet(), script[0])
 	st := r.Stats()
 	if st.MPICalls != 1 {
@@ -436,7 +436,7 @@ func TestVirtidRebuiltFromImageAndStaleHandlesDie(t *testing.T) {
 }
 
 // TestImageVirtSnapshotMatchesTable verifies CaptureImage embeds the
-// table state exactly as Snapshot reports it, for both implementations.
+// table state exactly as Snapshot reports it, under both table designs.
 func TestImageVirtSnapshotMatchesTable(t *testing.T) {
 	for _, impl := range []virtid.Impl{virtid.ImplMutex, virtid.ImplSharded} {
 		r := New(0, kernelsim.Patched, impl, nil)

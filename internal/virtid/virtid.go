@@ -12,27 +12,24 @@
 // exactly this bookkeeping, a hash-table lookup behind a lock, as the
 // dominant steady-state overhead at scale.
 //
-// The package provides two interchangeable implementations so the lookup
-// cost can be measured and optimised under contention:
-//
-//   - MutexTable: a single global sync.Mutex around per-kind maps —
-//     MANA's original design, and the calibrated baseline
-//     (MutexLookupCost).
-//   - ShardedTable: per-kind shard arrays selected by an FNV-1a hash of
-//     the virtual id. Each shard publishes a read-only copy-on-write map
-//     through sync/atomic, so steady-state lookups take no lock and
-//     perform zero allocations; only registration and deregistration
-//     (rare: communicator/datatype creation, request churn) pay the
-//     shard-local copy under a shard mutex.
+// Table is the translation table one simulated rank owns. Only the
+// goroutine running that rank ever touches it, so it takes no lock. What
+// a production table's design costs is modelled, not executed: Impl
+// names the design a job selects (MANA's original mutex-guarded table or
+// a lock-free sharded one), and its LookupCost and WriteCost are the
+// virtual-time prices kernelsim charges per translated handle and per
+// handle birth or retirement.
 //
 // Determinism rule: virtual ids are allocated from per-kind counters in
-// registration order, and Snapshot returns entries sorted by virtual id —
-// table iteration order (Go map order) never reaches a checkpoint image,
-// a fingerprint or a report.
+// registration order, and Snapshot returns entries sorted by virtual id,
+// so a checkpoint image, a fingerprint or a report depends only on the
+// sequence of registrations.
 package virtid
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mana/internal/vtime"
 )
@@ -90,46 +87,36 @@ type LookupCounts struct {
 // Total returns the total number of lookups the counts describe.
 func (c LookupCounts) Total() uint64 { return c.Comm + c.Datatype + c.Request }
 
-// Calibrated per-operation virtual-time costs. MutexLookupCost is the
-// figure that previously lived in kernelsim as virtualizationLookupCost:
-// a table probe plus the acquisition of a (globally shared) mutex. The
-// sharded table's lock-free read path drops the lock acquisition and the
-// shared cache-line bounce, leaving little more than the hash probe
-// itself; the ratio mirrors what BenchmarkVirtidLookup{Mutex,Sharded}
-// measures under contention.
-//
-// Writes (Register/Deregister) price the opposite way: the baseline
-// appends or shifts under the lock it already holds, while the sharded
-// table pays a shard-local copy-on-write rebuild so that readers never
-// block. The write figures are calibrated from the shapes
-// BenchmarkVirtidRequestChurn measures — the design bet, as in MANA
+// Calibrated per-operation virtual-time costs of the two table designs.
+// The lookup figures keep the ~7x gap measured between a mutex-guarded
+// Go table and a lock-free sharded one under contention; the write
+// figures price the baseline's append under its lock against the
+// sharded design's copy-on-write rebuild. The design bet, as in MANA
 // itself, is that lookups outnumber handle births by orders of
 // magnitude, so the read saving dominates.
 const (
-	// MutexLookupCost is the calibrated cost of one translation through
-	// the MutexTable baseline (ordered probe + global lock).
+	// MutexLookupCost is one translation through MANA's original table:
+	// an ordered probe under one global lock.
 	MutexLookupCost = 35 * vtime.Nanosecond
-	// ShardedLookupCost is the calibrated cost of one translation through
-	// the ShardedTable's lock-free read path (FNV hash + atomic load +
-	// open-addressed probe).
+	// ShardedLookupCost is one translation through a lock-free sharded
+	// table: a hash, an atomic load and an open-addressed probe.
 	ShardedLookupCost = 8 * vtime.Nanosecond
-	// MutexWriteCost is the calibrated cost of one Register or Deregister
-	// in the baseline: an append or shift under the same global lock.
+	// MutexWriteCost is one Register or Deregister in the baseline: an
+	// append or shift under the same global lock.
 	MutexWriteCost = 20 * vtime.Nanosecond
-	// ShardedWriteCost is the calibrated cost of one Register or
-	// Deregister in the sharded table: the shard-local copy-on-write
-	// rebuild plus the atomic publication.
+	// ShardedWriteCost is one Register or Deregister in the sharded
+	// design: a shard-local copy-on-write rebuild plus its publication.
 	ShardedWriteCost = 110 * vtime.Nanosecond
 )
 
-// Impl selects a table implementation.
+// Impl selects the table design whose costs a job is charged.
 type Impl int
 
 const (
 	// ImplMutex is the single-global-mutex baseline, matching MANA's
 	// original design.
 	ImplMutex Impl = iota
-	// ImplSharded is the optimised table: FNV-sharded, lock-free reads.
+	// ImplSharded is the optimised design: sharded, lock-free reads.
 	ImplSharded
 )
 
@@ -157,7 +144,7 @@ func ParseImpl(s string) (Impl, error) {
 	}
 }
 
-// LookupCost returns the implementation's calibrated per-lookup cost.
+// LookupCost returns the design's calibrated per-lookup cost.
 func (i Impl) LookupCost() vtime.Duration {
 	if i == ImplSharded {
 		return ShardedLookupCost
@@ -165,8 +152,8 @@ func (i Impl) LookupCost() vtime.Duration {
 	return MutexLookupCost
 }
 
-// WriteCost returns the implementation's calibrated cost of one Register
-// or Deregister.
+// WriteCost returns the design's calibrated cost of one Register or
+// Deregister.
 func (i Impl) WriteCost() vtime.Duration {
 	if i == ImplSharded {
 		return ShardedWriteCost
@@ -174,40 +161,77 @@ func (i Impl) WriteCost() vtime.Duration {
 	return MutexWriteCost
 }
 
-// Table is the virtual-to-real translation table. Lookup is the hot
-// path — every MPI call that passes a handle performs at least one — and
-// must be safe for concurrent use with Register/Deregister (the
-// checkpoint helper thread resolves handles while the application runs).
-type Table interface {
-	// Register allocates the next virtual id in the kind's namespace and
-	// maps it to the given real handle.
-	Register(k Kind, real Real) VID
-	// Lookup translates a virtual id; ok is false for ids that were never
-	// registered or have been deregistered (a miss is a virtualisation
-	// bug in the caller, or a stale handle from a dead timeline).
-	Lookup(k Kind, v VID) (Real, bool)
-	// Deregister removes a mapping, reporting whether it existed. Virtual
-	// ids are never reused: the allocation counter only moves forward.
-	Deregister(k Kind, v VID) bool
-	// Len reports the number of live mappings of one kind.
-	Len(k Kind) int
-	// Impl identifies the implementation (and thereby its LookupCost).
-	Impl() Impl
-	// Snapshot captures the full table state deterministically (entries
-	// sorted by virtual id) for inclusion in a checkpoint image.
-	Snapshot() Snapshot
-	// Restore replaces the table's contents with a snapshot's. Mappings
-	// registered after the snapshot was taken — handles of the dead
-	// timeline — no longer resolve afterwards.
-	Restore(Snapshot)
+// Table is one rank's virtual-to-real translation table. Per kind, the
+// live mappings are kept sorted by virtual id: ids are allocated in
+// increasing order, so Register is an append, Lookup a binary search and
+// Deregister an in-place delete. The zero Table is empty and ready to
+// use. A Table is not safe for concurrent use; its rank's goroutine is
+// its only user.
+type Table struct {
+	next    [NumKinds]uint64
+	entries [NumKinds][]Entry
 }
 
-// New returns an empty table of the selected implementation.
-func New(i Impl) Table {
-	if i == ImplSharded {
-		return NewShardedTable()
+// find returns the index of v in the kind's entries, or (i, false) with
+// i the insertion point.
+func (t *Table) find(k Kind, v VID) (int, bool) {
+	return slices.BinarySearchFunc(t.entries[k], v, func(e Entry, v VID) int { return cmp.Compare(e.VID, v) })
+}
+
+// Register allocates the next virtual id in the kind's namespace and
+// maps it to the given real handle.
+func (t *Table) Register(k Kind, real Real) VID {
+	t.next[k]++
+	v := VID(t.next[k])
+	t.entries[k] = append(t.entries[k], Entry{VID: v, Real: real})
+	return v
+}
+
+// NextVID returns the virtual id the kind's next Register will allocate.
+func (t *Table) NextVID(k Kind) VID { return VID(t.next[k] + 1) }
+
+// Lookup translates a virtual id; ok is false for ids that were never
+// registered or have been deregistered (a miss is a virtualisation bug in
+// the caller, or a stale handle from a dead timeline). The null VID never
+// resolves.
+func (t *Table) Lookup(k Kind, v VID) (Real, bool) {
+	if i, ok := t.find(k, v); ok {
+		return t.entries[k][i].Real, true
 	}
-	return NewMutexTable()
+	return 0, false
+}
+
+// Deregister removes a mapping, reporting whether it existed. Virtual ids
+// are never reused: the allocation counter only moves forward.
+func (t *Table) Deregister(k Kind, v VID) bool {
+	i, ok := t.find(k, v)
+	if ok {
+		t.entries[k] = slices.Delete(t.entries[k], i, i+1)
+	}
+	return ok
+}
+
+// Len reports the number of live mappings of one kind.
+func (t *Table) Len(k Kind) int { return len(t.entries[k]) }
+
+// Snapshot captures the table state for a checkpoint image. The entries
+// are copies, already sorted by virtual id.
+func (t *Table) Snapshot() Snapshot {
+	s := Snapshot{Next: t.next}
+	for k := range t.entries {
+		s.Entries[k] = append([]Entry(nil), t.entries[k]...)
+	}
+	return s
+}
+
+// Restore replaces the table's contents with a copy of the snapshot's.
+// Mappings registered after the snapshot was taken — handles of the dead
+// timeline — no longer resolve afterwards.
+func (t *Table) Restore(s Snapshot) {
+	t.next = s.Next
+	for k := range t.entries {
+		t.entries[k] = append(t.entries[k][:0], s.Entries[k]...)
+	}
 }
 
 // Entry is one virtual-to-real mapping in a snapshot.
